@@ -501,8 +501,23 @@ def cmd_slice_probe(args) -> int:
 # entry point
 # --------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: argparse's own 2 is this tool's 'violated' code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+#: override flags, registered only on the commands whose handlers read them
+_OVERRIDES = {
+    "--grid": (int, "override the sampling resolution", ("certify", "barrier-scan")),
+    "--tolerance": (float, "override the command's tolerance", ("certify", "geodesic-probe")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stconvex",
         description="Certify spacetime convexity and probe its geometric consequences.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -518,10 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the run configuration")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--grid", type=int, default=None,
-                       help="override the sampling resolution")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="override the command's tolerance")
+        for flag, (kind, flag_help, commands) in _OVERRIDES.items():
+            if name in commands:
+                p.add_argument(flag, type=kind, default=None, help=flag_help)
         p.add_argument("--no-timestamp", action="store_true",
                        help="suppress the leading timestamp line")
         p.add_argument("--structured", action="store_true",

@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import NonLorentzianMetric, ToolkitError
 from .expressions import ScalarField
-from .geometry import (Point, SpacetimeModel, covariant_hessian,
-                       evaluator_for, is_lorentzian)
+from .geometry import (Point, SpacetimeModel, _signature_counts,
+                       covariant_hessian, evaluator_for, is_lorentzian)
 
 #: intervals whose upper endpoint is below the endpoint resolution are
 #: indistinguishable from empty and reported as such
@@ -65,10 +65,7 @@ class SignatureDescriptor:
 
 
 def hessian_signature(h: np.ndarray, tol: float = 1e-10) -> SignatureDescriptor:
-    eigenvalues = np.linalg.eigvalsh(h)
-    negative = int(np.sum(eigenvalues < -tol))
-    zero = int(np.sum(np.abs(eigenvalues) <= tol))
-    return SignatureDescriptor(negative, zero, len(eigenvalues) - negative - zero)
+    return SignatureDescriptor(*_signature_counts(h, tol))
 
 
 @dataclass(frozen=True)

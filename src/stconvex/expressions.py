@@ -79,23 +79,6 @@ def symbols_in(ast) -> frozenset[str]:
     return frozenset()
 
 
-def substitute(ast, name: str, value: float):
-    """Replace a symbol by a numeric literal, returning a new expression."""
-    if isinstance(ast, Sym):
-        if ast.name != name:
-            return ast
-        if value < 0:
-            return Neg(Num(-value))
-        return Num(float(value))
-    if isinstance(ast, Neg):
-        return Neg(substitute(ast.child, name, value))
-    if isinstance(ast, BinOp):
-        return BinOp(ast.op, substitute(ast.left, name, value), substitute(ast.right, name, value))
-    if isinstance(ast, Call):
-        return Call(ast.func, substitute(ast.arg, name, value))
-    return ast
-
-
 # --------------------------------------------------------------------------
 # Tokenizer / parser
 # --------------------------------------------------------------------------
@@ -481,8 +464,8 @@ def _power_jet(jet, k: float):
 
 
 class Jet1:
-    """First-order jet over plain float tuples; the fast path for metric
-    derivatives, where second derivatives of the components are never needed."""
+    """First-order jet over plain float tuples for interpreted evaluation;
+    the metric hot path uses compile_jet1 closures instead."""
 
     __slots__ = ("value", "gradient")
 
@@ -611,6 +594,19 @@ def _wrap_domain(exc, ast, values):
     return DomainError(f"{exc} while evaluating '{to_source(ast)}' at {tuple(values)}")
 
 
+def _evaluate(ast, env, parameters, values):
+    """_eval with the parameters bound as constants; an out-of-domain
+    evaluation or a float overflow raises DomainError naming the expression."""
+    for pname, pval in (parameters or {}).items():
+        env[pname] = float(pval)
+    try:
+        return _eval(ast, env)
+    except (DomainError, OverflowError) as exc:
+        raise _wrap_domain(exc, ast, values) from None
+    except KeyError as exc:
+        raise UnknownSymbol(exc.args[0]) from None
+
+
 def eval_jet2(ast, coordinate_names, coordinate_values, parameters=None) -> Jet2:
     """Value, gradient, and Hessian of an expression at a point.
 
@@ -622,14 +618,7 @@ def eval_jet2(ast, coordinate_names, coordinate_values, parameters=None) -> Jet2
     values = tuple(float(v) for v in coordinate_values)
     n = len(names)
     env = {name: Jet2.variable(v, i, n) for i, (name, v) in enumerate(zip(names, values))}
-    for pname, pval in (parameters or {}).items():
-        env[pname] = float(pval)
-    try:
-        out = _eval(ast, env)
-    except DomainError as exc:
-        raise _wrap_domain(exc, ast, values) from None
-    except KeyError as exc:
-        raise UnknownSymbol(exc.args[0]) from None
+    out = _evaluate(ast, env, parameters, values)
     if isinstance(out, float):
         out = Jet2.constant(out, n)
     if not (math.isfinite(out.value) and np.isfinite(out.gradient).all()
@@ -648,14 +637,7 @@ def eval_jet1(ast, coordinate_names, coordinate_values, parameters=None) -> Jet1
     for i, (name, v) in enumerate(zip(names, values)):
         g = zeros[:i] + (1.0,) + zeros[i + 1:]
         env[name] = Jet1(float(v), g)
-    for pname, pval in (parameters or {}).items():
-        env[pname] = float(pval)
-    try:
-        out = _eval(ast, env)
-    except DomainError as exc:
-        raise _wrap_domain(exc, ast, values) from None
-    except KeyError as exc:
-        raise UnknownSymbol(exc.args[0]) from None
+    out = _evaluate(ast, env, parameters, values)
     if isinstance(out, float):
         out = Jet1(out, zeros)
     if not (math.isfinite(out.value) and all(math.isfinite(g) for g in out.gradient)):
@@ -666,14 +648,7 @@ def eval_jet1(ast, coordinate_names, coordinate_values, parameters=None) -> Jet1
 def eval_value(ast, coordinate_names, coordinate_values, parameters=None) -> float:
     """Plain numeric evaluation (no derivatives)."""
     env = {name: float(v) for name, v in zip(coordinate_names, coordinate_values)}
-    for pname, pval in (parameters or {}).items():
-        env[pname] = float(pval)
-    try:
-        out = _eval(ast, env)
-    except DomainError as exc:
-        raise _wrap_domain(exc, ast, coordinate_values) from None
-    except KeyError as exc:
-        raise UnknownSymbol(exc.args[0]) from None
+    out = _evaluate(ast, env, parameters, coordinate_values)
     value = out.value if not isinstance(out, float) else out
     if not math.isfinite(value):
         raise _wrap_domain("non-finite result", ast, coordinate_values)
@@ -718,7 +693,8 @@ _COMPILE_GLOBALS = {
     "_nonzero": _nonzero,
     "_checked_log": _checked_log,
     "_checked_sqrt": _checked_sqrt,
-    "DomainError": DomainError,
+    "OverflowError": OverflowError,
+    "_wrap_domain": _wrap_domain,
 }
 
 # value expression, and the (f', needs-temp) derivative recipe per function
@@ -748,7 +724,7 @@ class _CodeGen:
     def temp(self, expr):
         name = f"v{self.counter}"
         self.counter += 1
-        self.lines.append(f"    {name} = {expr}")
+        self.lines.append(f"        {name} = {expr}")
         return name
 
     def emit(self, node):
@@ -832,27 +808,31 @@ class _CodeGen:
             return a
         return self.temp(f"{a} {op} {b}")
 
+    def define(self, ast, result, filename):
+        """Compile the emitted lines into _fn(x0, ...) -> result; one try block
+        turns an overflow anywhere in them into a DomainError, as in _evaluate."""
+        args = ", ".join(f"x{i}" for i in range(len(self.coords)))
+        point = f"({args}{',' if self.coords else ''})"
+        body = "".join(line + "\n" for line in self.lines) or "        pass\n"
+        src = (f"def _fn({args}):\n    try:\n{body}"
+               "    except OverflowError as exc:\n"
+               f"        raise _wrap_domain(exc, _ast, {point}) from None\n"
+               f"    return {result}\n")
+        ns = dict(_COMPILE_GLOBALS, _ast=ast)
+        exec(compile(src, filename, "exec"), ns)  # noqa: S102 - our own codegen
+        return ns["_fn"]
+
 
 def compile_jet1(ast, coordinate_names, parameters=None):
     """Compile to fn(*coords) -> (value, gradient tuple); parameters bind now."""
     gen = _CodeGen(coordinate_names, parameters)
     val, ds = gen.emit(ast)
-    args = ", ".join(f"x{i}" for i in range(len(gen.coords)))
-    grad = ", ".join("0.0" if d is None else d for d in ds)
-    body = "\n".join(gen.lines)
-    src = f"def _fn({args}):\n{body}\n    return {val}, ({grad}{',' if gen.coords else ''})\n"
-    ns = dict(_COMPILE_GLOBALS)
-    exec(compile(src, "<stconvex-jet1>", "exec"), ns)  # noqa: S102 - our own codegen
-    return ns["_fn"]
+    grad = "".join(("0.0" if d is None else d) + ", " for d in ds)
+    return gen.define(ast, f"{val}, ({grad})", "<stconvex-jet1>")
 
 
 def compile_value(ast, coordinate_names, parameters=None):
     """Compile to fn(*coords) -> value; parameters bind now."""
     gen = _CodeGen(coordinate_names, parameters)
     val, _ = gen.emit(ast)
-    args = ", ".join(f"x{i}" for i in range(len(gen.coords)))
-    body = "\n".join(gen.lines)
-    src = f"def _fn({args}):\n{body}\n    return {val}\n"
-    ns = dict(_COMPILE_GLOBALS)
-    exec(compile(src, "<stconvex-value>", "exec"), ns)  # noqa: S102
-    return ns["_fn"]
+    return gen.define(ast, val, "<stconvex-value>")

@@ -25,8 +25,9 @@ import numpy as np
 from . import expressions as ex
 from .errors import NonSpacelikeSlice, NotBlockForm, OutOfDomain, WrongSignature
 from .geometry import (MetricAt, Point, SpacetimeModel, TangentVector,
-                       _gradient_data, christoffels_from, covariant_hessian,
-                       eval_metric)
+                       _gradient_data, _inverse_and_christoffels,
+                       covariant_hessian, covariant_hessian_from, eval_metric,
+                       evaluator_for, field_jet)
 
 #: tangent seeds whose g-rejection norm falls below this are unusable
 BASIS_TOL = 1e-12
@@ -100,12 +101,11 @@ def second_fundamental_form(f: ex.ScalarField, model: SpacetimeModel, p: Point,
 def mean_curvature(f: ex.ScalarField, model: SpacetimeModel, p: Point) -> float:
     """Tr K traced with the induced inverse metric h^{mu nu} = g^{mu nu} -
     eps n^mu n^nu (the ambient trace would double-count the normal)."""
-    metric_at = eval_metric(model, p)
-    frame = level_set_frame(f, model, p, metric_at)
-    hess = covariant_hessian(f, model, p, metric_at=metric_at)
-    n = frame.unit_normal.array()
-    h_up = metric_at.g_inverse - frame.epsilon * np.outer(n, n)
-    return float(-np.einsum("mn,mn->", h_up, hess) / frame.norm)
+    jet, metric_at, eps, norm, grad_up = _gradient_data(f, model, p)
+    hess = covariant_hessian_from(jet.gradient, jet.hessian, metric_at.christoffels)
+    n = -eps * grad_up / norm
+    h_up = metric_at.g_inverse - eps * np.outer(n, n)
+    return float(-np.einsum("mn,mn->", h_up, hess) / norm)
 
 
 def schwarzschild_trk(r: float, m: float) -> float:
@@ -219,48 +219,39 @@ class SliceSpec:
 
 
 def _slice_data(model: SpacetimeModel, spec: SliceSpec, p: Point):
+    """(pinned point, surviving indices, h, dh): the metric at p with x^k set
+    to the slice value, restricted to the other coordinates."""
     if spec.coordinate not in model.coordinate_names:
         raise ValueError(f"'{spec.coordinate}' is not a coordinate of '{model.name}'")
+    if len(p) != model.dimension:
+        raise ValueError(f"point has {len(p)} coordinates, chart has {model.dimension}")
     k = model.coordinate_names.index(spec.coordinate)
     if abs(p.coordinates[k] - spec.value) > 1e-9:
         raise ValueError(f"point {p.coordinates} is not on the slice "
                          f"{spec.coordinate} = {spec.value!r}")
-    names = tuple(nm for i, nm in enumerate(model.coordinate_names) if i != k)
-    values = tuple(c for i, c in enumerate(p.coordinates) if i != k)
-    indices = [i for i in range(model.dimension) if i != k]
-    d = len(indices)
-    h = np.zeros((d, d))
-    dh = np.zeros((d, d, d))
-    for a in range(d):
-        for b in range(a, d):
-            node = ex.substitute(model.components[indices[a]][indices[b]],
-                                 spec.coordinate, spec.value)
-            jet = ex.eval_jet1(node, names, values, model.parameters)
-            h[a, b] = h[b, a] = jet.value
-            for lam in range(d):
-                dh[lam, a, b] = dh[lam, b, a] = jet.gradient[lam]
+    pinned = Point(p.coordinates[:k] + (spec.value,) + p.coordinates[k + 1:])
+    keep = np.array([i for i in range(model.dimension) if i != k])
+    g, dg = evaluator_for(model).components(pinned.coordinates)
+    h = g[keep[:, None], keep]
     eigenvalues = np.linalg.eigvalsh(h)
     if eigenvalues[0] <= 1e-10:
         raise NonSpacelikeSlice(
             f"induced metric on {spec.coordinate} = {spec.value!r} is not positive "
             f"definite at {p.coordinates} (smallest eigenvalue {eigenvalues[0]:.3e})")
-    return k, names, values, h, dh
+    return pinned, keep, h, dg[keep[:, None, None], keep[:, None], keep]
 
 
 def induced_metric(model: SpacetimeModel, spec: SliceSpec, p: Point) -> np.ndarray:
     """Positive-definite induced metric on the slice, in the surviving
     coordinates' order."""
-    return _slice_data(model, spec, p)[3]
+    return _slice_data(model, spec, p)[2]
 
 
 def _restricted_hessian_data(f, model, spec, p):
-    _, names, values, h, dh = _slice_data(model, spec, p)
-    h_inv = np.linalg.solve(h, np.eye(h.shape[0]))
-    h_inv = 0.5 * (h_inv + h_inv.T)
-    gamma = christoffels_from(h_inv, dh)
-    restricted = ex.substitute(f.ast, spec.coordinate, spec.value)
-    jet = ex.eval_jet2(restricted, names, values, model.parameters)
-    ddf = jet.hessian - np.einsum("l,lmn->mn", jet.gradient, gamma)
+    pinned, keep, h, dh = _slice_data(model, spec, p)
+    h_inv, gamma = _inverse_and_christoffels(h, dh, pinned.coordinates)
+    jet = field_jet(f, model, pinned)
+    ddf = covariant_hessian_from(jet.gradient[keep], jet.hessian[keep[:, None], keep], gamma)
     return h_inv, ddf
 
 

@@ -24,7 +24,8 @@ import numpy as np
 from . import expressions as ex
 from .errors import NotClosed, SingularMetric, StepSizeInvalid, ToolkitError
 from .geometry import (Point, SpacetimeModel, TangentVector, VectorClass,
-                       classify_vector, evaluator_for, field_jet)
+                       classify_vector, covariant_hessian, covariant_hessian_from,
+                       evaluator_for, field_jet)
 
 DEFAULT_STEP = 1e-3
 
@@ -164,8 +165,7 @@ def convexity_along_curve(f: ex.ScalarField, trajectory: Trajectory, c: float,
     for (lam, state) in trajectory.samples:
         p = state.position
         metric_at = evaluator.metric_at(p, checks=False)
-        jet = field_jet(f, model, p)
-        hess = jet.hessian - np.einsum("l,lmn->mn", jet.gradient, metric_at.christoffels)
+        hess = covariant_hessian(f, model, p, metric_at=metric_at)
         vel = state.velocity.array()
         margins.append(float(vel @ hess @ vel - c * (vel @ metric_at.g @ vel)))
     idx = int(np.argmin(margins))
@@ -253,7 +253,7 @@ def closed_curve_probe(f: ex.ScalarField, model: SpacetimeModel, curve: CurveSpe
         if margin < min_margin:
             min_margin = margin
             argmin = float(s)
-        hess = jet.hessian - np.einsum("l,lmn->mn", jet.gradient, metric_at.christoffels)
+        hess = covariant_hessian_from(jet.gradient, jet.hessian, metric_at.christoffels)
         min_hess_margin = min(min_hess_margin, float(d1 @ hess @ d1 - c * gvv))
     return ClosedCurveReport(
         obstructed=min_margin < -tolerance,

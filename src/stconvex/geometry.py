@@ -184,7 +184,7 @@ class MetricEvaluator:
     """
 
     def __init__(self, model: SpacetimeModel):
-        self.model = model
+        self.name = model.name  # not the model: it is this evaluator's weak cache key
         self.names = model.coordinate_names
         self.params = dict(model.parameters)
         d = model.dimension
@@ -213,7 +213,7 @@ class MetricEvaluator:
             if abs(fn(*coords)) < LOCUS_GUARD:
                 raise SingularMetric(
                     f"point {tuple(coords)} lies on or within {LOCUS_GUARD} of the "
-                    f"singular locus {ex.to_source(node)} = 0 of '{self.model.name}'")
+                    f"singular locus {ex.to_source(node)} = 0 of '{self.name}'")
 
     def locus_values(self, coords):
         """Signed locus-expression values; a sign change between two points
@@ -221,16 +221,23 @@ class MetricEvaluator:
         return tuple(fn(*coords) for fn, _ in self._loci)
 
     def components(self, coords):
-        """(g, dg) with dg[lam, mu, nu] = d_lam g_{mu nu}, by exact jets."""
+        """(g, dg) with dg[lam, mu, nu] = d_lam g_{mu nu}, by exact jets. A
+        DomainError names the model; a non-finite component raises
+        SingularMetric. The singular-locus guard is not applied here."""
         d = self.dim
         g = np.zeros((d, d))
         dg = np.zeros((d, d, d))
-        for fn, slots in self._compiled:
-            value, gradient = fn(*coords)
-            for (i, j) in slots:
-                g[i, j] = g[j, i] = value
-                for lam in range(d):
-                    dg[lam, i, j] = dg[lam, j, i] = gradient[lam]
+        try:
+            for fn, slots in self._compiled:
+                value, gradient = fn(*coords)
+                for (i, j) in slots:
+                    g[i, j] = g[j, i] = value
+                    for lam in range(d):
+                        dg[lam, i, j] = dg[lam, j, i] = gradient[lam]
+        except DomainError as exc:
+            raise DomainError(f"{exc} [metric of '{self.name}' at {coords}]") from None
+        if not np.isfinite(g).all():
+            raise SingularMetric(f"non-finite metric component at {coords}")
         return g, dg
 
     def metric_at(self, point: Point, checks=True) -> MetricAt:
@@ -241,12 +248,7 @@ class MetricEvaluator:
         if self._constant and self._const_data is not None:
             g, dg, ginv, gamma = self._const_data
             return MetricAt(point, g, ginv, dg, gamma)
-        try:
-            g, dg = self.components(coords)
-        except DomainError as exc:
-            raise DomainError(f"{exc} [metric of '{self.model.name}' at {coords}]") from None
-        if not np.isfinite(g).all():
-            raise SingularMetric(f"non-finite metric component at {coords}")
+        g, dg = self.components(coords)
         if checks or self._constant:
             det = np.linalg.det(g)
             if abs(det) < DET_TOL:
@@ -260,12 +262,7 @@ class MetricEvaluator:
             if not np.isfinite(cond) or cond > CONDITION_CAP:
                 raise SingularMetric(f"metric condition estimate {cond:.3e} exceeds "
                                      f"{CONDITION_CAP:.0e} at {coords}")
-        try:
-            ginv = np.linalg.solve(g, np.eye(self.dim))
-        except np.linalg.LinAlgError:
-            raise SingularMetric(f"metric is singular at {coords}") from None
-        ginv = 0.5 * (ginv + ginv.T)
-        gamma = christoffels_from(ginv, dg)
+        ginv, gamma = _inverse_and_christoffels(g, dg, coords)
         if self._constant:
             self._const_data = (g, dg, ginv, gamma)
         return MetricAt(point, g, ginv, dg, gamma)
@@ -278,6 +275,23 @@ def christoffels_from(g_inverse, dg) -> np.ndarray:
     term2 = np.einsum("ms,rsn->mnr", g_inverse, dg)
     term3 = np.einsum("ms,snr->mnr", g_inverse, dg)
     return 0.5 * (term1 + term2 - term3)
+
+
+def _inverse_and_christoffels(g, dg, coords):
+    """(g^{-1}, Gamma) by a direct solve; the inverse is symmetrized so the
+    connection stays symmetric to the bit."""
+    try:
+        ginv = np.linalg.solve(g, np.eye(g.shape[0]))
+    except np.linalg.LinAlgError:
+        raise SingularMetric(f"metric is singular at {coords}") from None
+    ginv = 0.5 * (ginv + ginv.T)
+    return ginv, christoffels_from(ginv, dg)
+
+
+def covariant_hessian_from(gradient, hessian, christoffels) -> np.ndarray:
+    """d_mu d_nu f - Gamma^lam_{mu nu} d_lam f from the partials of f and a
+    connection, which may be restricted to a slice's coordinates."""
+    return hessian - np.einsum("l,lmn->mn", gradient, christoffels)
 
 
 _EVALUATORS: "weakref.WeakKeyDictionary[SpacetimeModel, MetricEvaluator]" = \
@@ -309,7 +323,7 @@ def covariant_hessian(f: ex.ScalarField, model: SpacetimeModel, p: Point,
     if metric_at is None:
         metric_at = eval_metric(model, p)
     jet = field_jet(f, model, p)
-    return jet.hessian - np.einsum("l,lmn->mn", jet.gradient, metric_at.christoffels)
+    return covariant_hessian_from(jet.gradient, jet.hessian, metric_at.christoffels)
 
 
 def classify_vector(metric_at: MetricAt, v: TangentVector,

@@ -380,3 +380,20 @@ samples = 3
     r_text, trk_text = row.split(",")
     assert float(r_text) == 0.7
     assert len(trk_text.replace("-", "").replace(".", "").lstrip("0")) >= 15
+
+
+def test_usage_error_missing_config_exit_1(capsys):
+    """Usage errors exit 1; exit 2 is reserved for a violated condition."""
+    with pytest.raises(SystemExit) as exc:
+        main(["certify"])
+    assert exc.value.code == 1
+    assert "--config" in capsys.readouterr().err
+
+
+def test_foliate_rejects_grid_flag(tmp_path, capsys):
+    """--grid is registered only on the commands that read it."""
+    cfg = write(tmp_path, "f.cfg", "[foliate]\ncoordinate = tau\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["foliate", "--config", cfg, "--grid", "3"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --grid 3" in capsys.readouterr().err

@@ -325,6 +325,12 @@ def test_slice_point_must_lie_on_slice():
                                  Point((0.5, 0.0, 0.0, 0.0)))
 
 
+def test_slice_point_must_match_chart_dimension():
+    with pytest.raises(ValueError, match="3 coordinates, chart has 4"):
+        slice_laplacian(canonical_field(0.5), MINK, SliceSpec("t", 0.0),
+                        Point((0.0, 0.3, -0.2)))
+
+
 def test_curved_slice_connection_used():
     """The tau = 1 Milne slice is the unit hyperbolic 3-space, where
     D_i D_j cosh(chi) = cosh(chi) h_ij; this exercises the induced

@@ -1,5 +1,7 @@
 """Metric evaluation, Christoffels, covariant Hessians, causal classification."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from stconvex import (NullGradient, Point, SingularMetric, TangentVector,
                       classify_vector, covariant_hessian, eval_metric,
                       gradient_invariant)
 from stconvex.expressions import eval_jet2
+from stconvex import geometry
 from stconvex.geometry import SpacetimeModel
 
 from conftest import (fd_christoffels, fd_gradient, fd_hessian,
@@ -250,3 +253,16 @@ def test_with_parameters():
     m = eval_metric(heavy, Point((0.0, 8.0, 1.2, 0.3)))
     assert m.g[0, 0] == pytest.approx(-0.5, abs=1e-15)
     assert SCHW.parameters["M"] == 1.0  # original untouched
+
+
+def test_evaluator_cache_frees_dropped_models():
+    """Cached evaluators must not keep their model (the weak key) alive."""
+    gc.collect()
+    before = len(geometry._EVALUATORS)
+    models = [CAT.model("schwarzschild-interior", M=1.5 + 0.01 * i) for i in range(20)]
+    for model in models:
+        eval_metric(model, Point((0.0, 1.0, 1.2, 0.3)))
+    assert len(geometry._EVALUATORS) == before + len(models)
+    del models, model
+    gc.collect()
+    assert len(geometry._EVALUATORS) == before
