@@ -2,8 +2,9 @@
 
 Expressions are the carrier for metric components and scalar fields. The
 grammar is a fixed arithmetic grammar (no conditionals, no user functions)
-so that every expression has exact first and second derivatives obtained by
-jet arithmetic rather than finite differencing:
+so that every expression has exact first and second derivatives, obtained
+by forward-mode code emitted for the expression rather than by finite
+differencing:
 
     expr   := term (('+'|'-') term)*          left associative
     term   := factor (('*'|'/') factor)*      left associative
@@ -17,10 +18,19 @@ so precedence is ^ above unary minus above '*' '/' above '+' '-'.
 '^' with a non-constant exponent is evaluated as exp(b*log(a)) and therefore
 requires a positive base. Numbers are plain decimal literals; coordinates
 are dimensionless (geometric units throughout).
+
+There is one evaluator: `_CodeGen` emits straight-line Python for the value,
+the gradient and the upper triangle of the Hessian, mirrored so that the
+Hessian is symmetric to the bit. Parameters bind as constants when the code
+is compiled. All five entry points (`compile_jet1`, `compile_value`,
+`eval_jet2`, `eval_jet1`, `eval_value`) take that code from one bounded LRU
+cache keyed by the order, the AST, the coordinate names and the values of
+the parameters the AST references.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -290,29 +300,35 @@ class ScalarField:
 
 
 # --------------------------------------------------------------------------
-# Jet arithmetic
+# Jets
 # --------------------------------------------------------------------------
 
-# (f, f', f'') tables used by both jet orders
-def _d_tan(v):
-    t = math.tan(v)
-    return 1.0 + t * t
+class Jet2:
+    """Value, gradient (n,) and symmetric Hessian (n, n) of an expression at
+    a point. Entries for variables the expression does not reference are
+    exactly zero."""
+
+    __slots__ = ("value", "gradient", "hessian")
+
+    def __init__(self, value, gradient, hessian):
+        self.value = value
+        self.gradient = gradient
+        self.hessian = hessian
 
 
-def _dd_tan(v):
-    t = math.tan(v)
-    return 2.0 * t * (1.0 + t * t)
+class Jet1:
+    """Value and gradient tuple of an expression at a point."""
+
+    __slots__ = ("value", "gradient")
+
+    def __init__(self, value, gradient):
+        self.value = value
+        self.gradient = gradient
 
 
-def _d_tanh(v):
-    t = math.tanh(v)
-    return 1.0 - t * t
-
-
-def _dd_tanh(v):
-    t = math.tanh(v)
-    return -2.0 * t * (1.0 - t * t)
-
+# --------------------------------------------------------------------------
+# Compilation to plain-float code
+# --------------------------------------------------------------------------
 
 def _checked_log(v):
     if v <= 0.0:
@@ -326,351 +342,22 @@ def _checked_sqrt(v):
     return math.sqrt(v)
 
 
-def _checked_abs_d(v):
-    if v == 0.0:
-        raise DomainError("abs is not differentiable at 0")
-    return math.copysign(1.0, v)
-
-
-_TABLE = {
-    "sin": (math.sin, math.cos, lambda v: -math.sin(v)),
-    "cos": (math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v)),
-    "tan": (math.tan, _d_tan, _dd_tan),
-    "sinh": (math.sinh, math.cosh, math.sinh),
-    "cosh": (math.cosh, math.sinh, math.cosh),
-    "tanh": (math.tanh, _d_tanh, _dd_tanh),
-    "exp": (math.exp, math.exp, math.exp),
-    "log": (_checked_log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v)),
-    "sqrt": (_checked_sqrt, lambda v: 0.5 / math.sqrt(v), lambda v: -0.25 / (v * math.sqrt(v))),
-    "abs": (abs, _checked_abs_d, lambda v: 0.0),
-}
-
-
-class Jet2:
-    """Second-order jet: value, gradient, and symmetric Hessian over n variables.
-
-    Arithmetic follows the exact second-order chain and product rules, so
-    derivatives are exact to roundoff for any composition of the supported
-    elementary functions. Entries for variables an expression does not
-    reference stay exactly zero.
-    """
-
-    __slots__ = ("value", "gradient", "hessian")
-
-    def __init__(self, value, gradient, hessian):
-        self.value = float(value)
-        self.gradient = gradient
-        self.hessian = hessian
-
-    @classmethod
-    def variable(cls, value, index, nvars):
-        g = np.zeros(nvars)
-        g[index] = 1.0
-        return cls(value, g, np.zeros((nvars, nvars)))
-
-    @classmethod
-    def constant(cls, value, nvars):
-        return cls(value, np.zeros(nvars), np.zeros((nvars, nvars)))
-
-    def _coerce(self, other):
-        if isinstance(other, Jet2):
-            return other
-        return Jet2.constant(float(other), len(self.gradient))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Jet2(self.value + o.value, self.gradient + o.gradient, self.hessian + o.hessian)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet2(-self.value, -self.gradient, -self.hessian)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return Jet2(self.value - o.value, self.gradient - o.gradient, self.hessian - o.hessian)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        cross = np.outer(self.gradient, o.gradient)
-        # (cross + cross.T) first, so the Hessian stays symmetric to the bit
-        return Jet2(
-            self.value * o.value,
-            self.value * o.gradient + o.value * self.gradient,
-            self.value * o.hessian + o.value * self.hessian + (cross + cross.T),
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.value == 0.0:
-            raise DomainError("division by zero")
-        return self * o._reciprocal()
-
-    def __rtruediv__(self, other):
-        if self.value == 0.0:
-            raise DomainError("division by zero")
-        return self._coerce(other) * self._reciprocal()
-
-    def _reciprocal(self):
-        v = self.value
-        return self._chain(1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
-
-    def _chain(self, f, df, ddf):
-        outer = np.outer(self.gradient, self.gradient)
-        return Jet2(f, df * self.gradient, df * self.hessian + ddf * outer)
-
-    def apply(self, func: str):
-        f, df, ddf = _TABLE[func]
-        v = self.value
-        return self._chain(f(v), df(v), ddf(v))
-
-    def is_constant(self) -> bool:
-        return not self.gradient.any() and not self.hessian.any()
-
-    def __pow__(self, other):
-        if isinstance(other, Jet2) and not other.is_constant():
-            if self.value <= 0.0:
-                raise DomainError(
-                    f"power with non-constant exponent requires a positive base, got {self.value!r}")
-            return (other * self.apply("log")).apply("exp")
-        k = other.value if isinstance(other, Jet2) else float(other)
-        return _power_jet(self, k)
-
-    def __rpow__(self, other):
-        base = self._coerce(other)
-        return base.__pow__(self)
-
-
-def _power_jet(jet, k: float):
-    v = jet.value
-    if k == 0.0:
-        return Jet2.constant(1.0, len(jet.gradient))
-    if float(k).is_integer():
-        k = int(k)
-        if v == 0.0 and k < 0:
-            raise DomainError("division by zero in negative integer power")
-        f = v ** k
-        df = k * v ** (k - 1) if (v != 0.0 or k >= 1) else 0.0
-        ddf = k * (k - 1) * v ** (k - 2) if (v != 0.0 or k >= 2) else 0.0
-        return jet._chain(f, df, ddf)
-    if v <= 0.0:
-        raise DomainError(f"non-integer power of non-positive base {v!r}")
-    return jet._chain(v ** k, k * v ** (k - 1.0), k * (k - 1.0) * v ** (k - 2.0))
-
-
-class Jet1:
-    """First-order jet over plain float tuples for interpreted evaluation;
-    the metric hot path uses compile_jet1 closures instead."""
-
-    __slots__ = ("value", "gradient")
-
-    def __init__(self, value, gradient):
-        self.value = value
-        self.gradient = gradient
-
-    def _coerce(self, other):
-        if isinstance(other, Jet1):
-            return other
-        return Jet1(float(other), (0.0,) * len(self.gradient))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Jet1(self.value + o.value, tuple(a + b for a, b in zip(self.gradient, o.gradient)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet1(-self.value, tuple(-a for a in self.gradient))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return Jet1(self.value - o.value, tuple(a - b for a, b in zip(self.gradient, o.gradient)))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        u, w = self.value, o.value
-        return Jet1(u * w, tuple(u * b + w * a for a, b in zip(self.gradient, o.gradient)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.value == 0.0:
-            raise DomainError("division by zero")
-        u, w = self.value, o.value
-        inv = 1.0 / w
-        return Jet1(u * inv, tuple((a * w - u * b) * inv * inv
-                                   for a, b in zip(self.gradient, o.gradient)))
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def _chain(self, f, df):
-        return Jet1(f, tuple(df * a for a in self.gradient))
-
-    def apply(self, func: str):
-        f, df, _ = _TABLE[func]
-        v = self.value
-        return self._chain(f(v), df(v))
-
-    def is_constant(self) -> bool:
-        return not any(self.gradient)
-
-    def __pow__(self, other):
-        if isinstance(other, Jet1) and not other.is_constant():
-            if self.value <= 0.0:
-                raise DomainError(
-                    f"power with non-constant exponent requires a positive base, got {self.value!r}")
-            return (other * self.apply("log")).apply("exp")
-        k = other.value if isinstance(other, Jet1) else float(other)
-        v = self.value
-        if k == 0.0:
-            return Jet1(1.0, (0.0,) * len(self.gradient))
-        if float(k).is_integer():
-            k = int(k)
-            if v == 0.0 and k < 0:
-                raise DomainError("division by zero in negative integer power")
-            df = k * v ** (k - 1) if (v != 0.0 or k >= 1) else 0.0
-            return self._chain(v ** k, df)
-        if v <= 0.0:
-            raise DomainError(f"non-integer power of non-positive base {v!r}")
-        return self._chain(v ** k, k * v ** (k - 1.0))
-
-    def __rpow__(self, other):
-        return self._coerce(other).__pow__(self)
-
-
-def _eval(ast, env):
-    """Evaluate an AST in an environment mapping symbol names to jets/floats.
-
-    Pure-number subtrees fold to plain floats, which keeps untouched
-    derivative entries exactly zero and the hot path cheap.
-    """
-    if isinstance(ast, Num):
-        return ast.value
-    if isinstance(ast, Sym):
-        return env[ast.name]
-    if isinstance(ast, Neg):
-        return -_eval(ast.child, env)
-    if isinstance(ast, Call):
-        arg = _eval(ast.arg, env)
-        if isinstance(arg, float):
-            return _TABLE[ast.func][0](arg)
-        return arg.apply(ast.func)
-    op = ast.op
-    left = _eval(ast.left, env)
-    right = _eval(ast.right, env)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if isinstance(left, float) and isinstance(right, float):
-            if right == 0.0:
-                raise DomainError("division by zero")
-            return left / right
-        return left / right
-    # op == "^"
-    if isinstance(left, float) and isinstance(right, float):
-        if left < 0.0 and not float(right).is_integer():
-            raise DomainError(f"non-integer power of non-positive base {left!r}")
-        if left == 0.0 and right < 0.0:
-            raise DomainError("division by zero in negative power")
-        return left ** right
-    return left ** right
-
-
-def _wrap_domain(exc, ast, values):
-    return DomainError(f"{exc} while evaluating '{to_source(ast)}' at {tuple(values)}")
-
-
-def _evaluate(ast, env, parameters, values):
-    """_eval with the parameters bound as constants; an out-of-domain
-    evaluation or a float overflow raises DomainError naming the expression."""
-    for pname, pval in (parameters or {}).items():
-        env[pname] = float(pval)
-    try:
-        return _eval(ast, env)
-    except (DomainError, OverflowError) as exc:
-        raise _wrap_domain(exc, ast, values) from None
-    except KeyError as exc:
-        raise UnknownSymbol(exc.args[0]) from None
-
-
-def eval_jet2(ast, coordinate_names, coordinate_values, parameters=None) -> Jet2:
-    """Value, gradient, and Hessian of an expression at a point.
-
-    Coordinates are seeded as jet variables in the given order; parameters
-    bind as constants. Raises DomainError (with the expression attached) if
-    the point is outside an elementary function's domain.
-    """
-    names = tuple(coordinate_names)
-    values = tuple(float(v) for v in coordinate_values)
-    n = len(names)
-    env = {name: Jet2.variable(v, i, n) for i, (name, v) in enumerate(zip(names, values))}
-    out = _evaluate(ast, env, parameters, values)
-    if isinstance(out, float):
-        out = Jet2.constant(out, n)
-    if not (math.isfinite(out.value) and np.isfinite(out.gradient).all()
-            and np.isfinite(out.hessian).all()):
-        raise _wrap_domain("non-finite result", ast, values)
-    return out
-
-
-def eval_jet1(ast, coordinate_names, coordinate_values, parameters=None) -> Jet1:
-    """Value and gradient only; used where second derivatives are not needed."""
-    names = tuple(coordinate_names)
-    values = tuple(float(v) for v in coordinate_values)
-    n = len(names)
-    zeros = (0.0,) * n
-    env = {}
-    for i, (name, v) in enumerate(zip(names, values)):
-        g = zeros[:i] + (1.0,) + zeros[i + 1:]
-        env[name] = Jet1(float(v), g)
-    out = _evaluate(ast, env, parameters, values)
-    if isinstance(out, float):
-        out = Jet1(out, zeros)
-    if not (math.isfinite(out.value) and all(math.isfinite(g) for g in out.gradient)):
-        raise _wrap_domain("non-finite result", ast, values)
-    return out
-
-
-def eval_value(ast, coordinate_names, coordinate_values, parameters=None) -> float:
-    """Plain numeric evaluation (no derivatives)."""
-    env = {name: float(v) for name, v in zip(coordinate_names, coordinate_values)}
-    out = _evaluate(ast, env, parameters, coordinate_values)
-    value = out.value if not isinstance(out, float) else out
-    if not math.isfinite(value):
-        raise _wrap_domain("non-finite result", ast, coordinate_values)
-    return value
-
-
-# --------------------------------------------------------------------------
-# Compilation to plain-float closures (hot paths: integrators, grid scans)
-# --------------------------------------------------------------------------
-
 def _pow_vd(base, k):
-    """(base**k, d/dbase base**k) for a constant exponent k."""
+    """(base**k, first and second derivative in base) for a constant exponent
+    k. At base 0 an integer power keeps its polynomial derivatives (x^2 has
+    second derivative 2) and a negative one raises."""
+    if k == 0.0:
+        return 1.0, 0.0, 0.0
     if float(k).is_integer():
         k = int(k)
         if base == 0.0:
             if k < 0:
                 raise DomainError("division by zero in negative integer power")
-            return (1.0, 0.0) if k == 0 else (0.0, 1.0 if k == 1 else 0.0)
-        return base ** k, k * base ** (k - 1)
+            return 0.0, (1.0 if k == 1 else 0.0), (2.0 if k == 2 else 0.0)
+        return base ** k, k * base ** (k - 1), k * (k - 1) * base ** (k - 2)
     if base <= 0.0:
         raise DomainError(f"non-integer power of non-positive base {base!r}")
-    return base ** k, k * base ** (k - 1.0)
+    return base ** k, k * base ** (k - 1.0), k * (k - 1.0) * base ** (k - 2.0)
 
 
 def _sign_nonzero(v):
@@ -685,39 +372,56 @@ def _nonzero(v):
     return v
 
 
+def _wrap_domain(exc, ast, values):
+    return DomainError(f"{exc} while evaluating '{to_source(ast)}' at {tuple(values)}")
+
+
 _COMPILE_GLOBALS = {
     "__builtins__": {},
     "math": math,
+    "abs": abs,
+    "inf": math.inf,  # repr of an infinite literal or parameter
+    "nan": math.nan,
     "_pow_vd": _pow_vd,
     "_sign_nonzero": _sign_nonzero,
     "_nonzero": _nonzero,
     "_checked_log": _checked_log,
     "_checked_sqrt": _checked_sqrt,
-    "OverflowError": OverflowError,
+    "DomainError": DomainError,
+    "ArithmeticError": ArithmeticError,
     "_wrap_domain": _wrap_domain,
 }
 
-# value expression, and the (f', needs-temp) derivative recipe per function
+# value, f' and f'' (None: exactly zero) per function, over the argument {a},
+# the value temp {v} and the f' temp {d}
 _CODEGEN_CALLS = {
-    "sin": ("math.sin({a})", "math.cos({a})"),
-    "cos": ("math.cos({a})", "-math.sin({a})"),
-    "tan": ("math.tan({a})", "1.0 + {v}*{v}"),
-    "sinh": ("math.sinh({a})", "math.cosh({a})"),
-    "cosh": ("math.cosh({a})", "math.sinh({a})"),
-    "tanh": ("math.tanh({a})", "1.0 - {v}*{v}"),
-    "exp": ("math.exp({a})", "{v}"),
-    "log": ("_checked_log({a})", "1.0/{a}"),
-    "sqrt": ("_checked_sqrt({a})", "0.5/{v}"),
-    "abs": ("abs({a})", "_sign_nonzero({a})"),
+    "sin": ("math.sin({a})", "math.cos({a})", "-{v}"),
+    "cos": ("math.cos({a})", "-math.sin({a})", "-{v}"),
+    "tan": ("math.tan({a})", "1.0 + {v}*{v}", "2.0*{v}*{d}"),
+    "sinh": ("math.sinh({a})", "math.cosh({a})", "{v}"),
+    "cosh": ("math.cosh({a})", "math.sinh({a})", "{v}"),
+    "tanh": ("math.tanh({a})", "1.0 - {v}*{v}", "-2.0*{v}*{d}"),
+    "exp": ("math.exp({a})", "{v}", "{v}"),
+    "log": ("_checked_log({a})", "1.0/{a}", "-1.0/({a}*{a})"),
+    "sqrt": ("_checked_sqrt({a})", "0.5/{v}", "-0.25/({a}*{v})"),
+    "abs": ("abs({a})", "_sign_nonzero({a})", None),
 }
 
 
 class _CodeGen:
-    """Emit unrolled first-order forward-mode code for one expression."""
+    """Emit unrolled forward-mode code of order 0, 1 or 2 for one expression.
 
-    def __init__(self, coord_names, parameters):
+    emit returns (value, gradient, hessian): a temp name or literal, one
+    expression per coordinate, and a dict over the upper triangle (i <= j)
+    of the Hessian; None and a missing key are exact zeros. Order 0 seeds no
+    derivatives and order 1 emits no Hessian entries, so the value and
+    gradient lines are the same at every order.
+    """
+
+    def __init__(self, coord_names, parameters, order):
         self.coords = tuple(coord_names)
         self.params = {k: float(v) for k, v in (parameters or {}).items()}
+        self.order = order
         self.lines = []
         self.counter = 0
 
@@ -727,53 +431,64 @@ class _CodeGen:
         self.lines.append(f"        {name} = {expr}")
         return name
 
+    def pairs(self, *gradients):
+        """Upper-triangle index pairs whose Hessian entry can be nonzero."""
+        if self.order < 2:
+            return []
+        live = [i for i in range(len(self.coords)) if any(g[i] is not None for g in gradients)]
+        return [(i, j) for a, i in enumerate(live) for j in live[a:]]
+
     def emit(self, node):
-        """Return (value name/literal, derivative exprs with None for exact zero)."""
         n = len(self.coords)
         if isinstance(node, Num):
-            return repr(node.value), [None] * n
+            return repr(node.value), [None] * n, {}
         if isinstance(node, Sym):
             if node.name in self.params:
-                return repr(self.params[node.name]), [None] * n
+                return repr(self.params[node.name]), [None] * n, {}
+            if node.name not in self.coords:
+                raise UnknownSymbol(node.name)
             i = self.coords.index(node.name)
             ds = [None] * n
-            ds[i] = "1.0"
-            return f"x{i}", ds
+            if self.order:
+                ds[i] = "1.0"
+            return f"x{i}", ds, {}
         if isinstance(node, Neg):
-            val, ds = self.emit(node.child)
-            return self.temp(f"-{val}"), [None if d is None else self.temp(f"-{d}") for d in ds]
+            val, ds, hs = self.emit(node.child)
+            return (self.temp(f"-{val}"), [None if d is None else self.temp(f"-{d}") for d in ds],
+                    {ij: self.temp(f"-{h}") for ij, h in hs.items()})
         if isinstance(node, Call):
-            aval, ads = self.emit(node.arg)
-            value_tpl, deriv_tpl = _CODEGEN_CALLS[node.func]
+            aval, ads, ahs = self.emit(node.arg)
+            value_tpl, d_tpl, dd_tpl = _CODEGEN_CALLS[node.func]
             val = self.temp(value_tpl.format(a=aval))
             if all(d is None for d in ads):
-                return val, ads
-            dfn = self.temp(deriv_tpl.format(a=aval, v=val))
-            return val, [None if d is None else self.temp(f"{dfn} * {d}") for d in ads]
+                return val, ads, {}
+            dfn = self.temp(d_tpl.format(a=aval, v=val))
+            ddfn = None
+            if dd_tpl is not None and self.order == 2:
+                ddfn = self.temp(dd_tpl.format(a=aval, v=val, d=dfn))
+            return (val, *self._chain(dfn, ddfn, ads, ahs))
         # BinOp
         if node.op == "^":
-            rval_probe = symbols_in(node.right) & set(self.coords)
-            if rval_probe:
+            if symbols_in(node.right) & set(self.coords):
                 # non-constant exponent: rewrite as exp(b * log(a))
                 return self.emit(Call("exp", BinOp("*", node.right, Call("log", node.left))))
-            bval, bds = self.emit(node.left)
-            kval, _ = self.emit(node.right)
-            pair = self.temp(f"_pow_vd({bval}, {kval})")
-            val = self.temp(f"{pair}[0]")
+            bval, bds, bhs = self.emit(node.left)
+            kval, _, _ = self.emit(node.right)
+            triple = self.temp(f"_pow_vd({bval}, {kval})")
+            val = self.temp(f"{triple}[0]")
             if all(d is None for d in bds):
-                return val, bds
-            dfn = self.temp(f"{pair}[1]")
-            return val, [None if d is None else self.temp(f"{dfn} * {d}") for d in bds]
-        lval, lds = self.emit(node.left)
-        rval, rds = self.emit(node.right)
-        if node.op == "+":
-            val = self.temp(f"{lval} + {rval}")
-            ds = [self._combine(a, b, "+") for a, b in zip(lds, rds)]
-            return val, ds
-        if node.op == "-":
-            val = self.temp(f"{lval} - {rval}")
-            ds = [self._combine(a, b, "-") for a, b in zip(lds, rds)]
-            return val, ds
+                return val, bds, {}
+            dfn = self.temp(f"{triple}[1]")
+            ddfn = self.temp(f"{triple}[2]") if self.order == 2 else None
+            return (val, *self._chain(dfn, ddfn, bds, bhs))
+        lval, lds, lhs = self.emit(node.left)
+        rval, rds, rhs = self.emit(node.right)
+        if node.op in "+-":
+            val = self.temp(f"{lval} {node.op} {rval}")
+            ds = [self._combine(a, b, node.op) for a, b in zip(lds, rds)]
+            hs = {ij: self._combine(lhs.get(ij), rhs.get(ij), node.op)
+                  for ij in sorted(lhs.keys() | rhs.keys())}
+            return val, ds, hs
         if node.op == "*":
             val = self.temp(f"{lval} * {rval}")
             ds = []
@@ -784,7 +499,20 @@ class _CodeGen:
                 if b is not None:
                     terms.append(f"{lval} * {b}")
                 ds.append(self.temp(" + ".join(terms)) if terms else None)
-            return val, ds
+            hs = {}
+            for i, j in self.pairs(lds, rds):
+                terms = []
+                if (i, j) in rhs:
+                    terms.append(f"{lval} * {rhs[i, j]}")
+                if (i, j) in lhs:
+                    terms.append(f"{rval} * {lhs[i, j]}")
+                cross = [f"{lds[p]} * {rds[q]}" for p, q in ((i, j), (j, i))
+                         if lds[p] is not None and rds[q] is not None]
+                if cross:
+                    terms.append(f"({' + '.join(cross)})")
+                if terms:
+                    hs[i, j] = self.temp(" + ".join(terms))
+            return val, ds, hs
         # division
         rsafe = self.temp(f"_nonzero({rval})")
         val = self.temp(f"{lval} / {rsafe}")
@@ -797,7 +525,31 @@ class _CodeGen:
             else:
                 num = f"{a} * {rsafe} - {lval} * {b}" if a is not None else f"-({lval}) * {b}"
                 ds.append(self.temp(f"({num}) / ({rsafe} * {rsafe})"))
-        return val, ds
+        # q = u/w: q_ij = (u_ij - q_i w_j - q_j w_i - q w_ij) / w
+        hs = {}
+        for i, j in self.pairs(lds, rds):
+            minus = [f"{ds[p]} * {rds[q]}" for p, q in ((i, j), (j, i)) if rds[q] is not None]
+            if (i, j) in rhs:
+                minus.append(f"{val} * {rhs[i, j]}")
+            if (i, j) in lhs or minus:
+                num = " - ".join([lhs.get((i, j), "0.0")] + minus)
+                hs[i, j] = self.temp(f"({num}) / {rsafe}")
+        return val, ds, hs
+
+    def _chain(self, dfn, ddfn, ds, hs):
+        """Gradient and Hessian of f(u) from the f' and f'' temps (ddfn None
+        when zero) and the jet of u: f' du and f' ddu + f'' du du^T."""
+        grad = [None if d is None else self.temp(f"{dfn} * {d}") for d in ds]
+        hess = {}
+        for i, j in self.pairs(ds):
+            terms = []
+            if (i, j) in hs:
+                terms.append(f"{dfn} * {hs[i, j]}")
+            if ddfn is not None:
+                terms.append(f"{ddfn} * ({ds[i]} * {ds[j]})")
+            if terms:
+                hess[i, j] = self.temp(" + ".join(terms))
+        return grad, hess
 
     def _combine(self, a, b, op):
         if a is None and b is None:
@@ -810,12 +562,14 @@ class _CodeGen:
 
     def define(self, ast, result, filename):
         """Compile the emitted lines into _fn(x0, ...) -> result; one try block
-        turns an overflow anywhere in them into a DomainError, as in _evaluate."""
+        turns a DomainError, an overflow or a division by an underflowed
+        square anywhere in them into a DomainError naming the expression and
+        the point."""
         args = ", ".join(f"x{i}" for i in range(len(self.coords)))
         point = f"({args}{',' if self.coords else ''})"
         body = "".join(line + "\n" for line in self.lines) or "        pass\n"
         src = (f"def _fn({args}):\n    try:\n{body}"
-               "    except OverflowError as exc:\n"
+               "    except (DomainError, ArithmeticError) as exc:\n"
                f"        raise _wrap_domain(exc, _ast, {point}) from None\n"
                f"    return {result}\n")
         ns = dict(_COMPILE_GLOBALS, _ast=ast)
@@ -823,16 +577,86 @@ class _CodeGen:
         return ns["_fn"]
 
 
+def _compile(ast, coordinate_names, parameters, order):
+    """fn(*coords) -> value (order 0), (value, gradient) (order 1) or
+    (value, gradient, row-major Hessian) (order 2), as plain float tuples."""
+    gen = _CodeGen(coordinate_names, parameters, order)
+    val, ds, hs = gen.emit(ast)
+    result = val
+    if order >= 1:
+        result += ", (" + "".join(("0.0" if d is None else d) + ", " for d in ds) + ")"
+    if order == 2:
+        n = len(ds)
+        entries = (hs.get((min(i, j), max(i, j)), "0.0") for i in range(n) for j in range(n))
+        result += ", (" + "".join(e + ", " for e in entries) + ")"
+    return gen.define(ast, result, f"<stconvex-order{order}>")
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_code(order, ast, names, bound):
+    return _compile(ast, names, dict(bound), order)
+
+
+def _code(order, ast, coordinate_names, parameters):
+    """Compiled code of the expression from one bounded LRU cache, keyed by
+    the order, the AST, the coordinate names and the values of the parameters
+    the AST references, so equal expressions share code however often they
+    are re-parsed and whichever entry point asks."""
+    bound = ()
+    if parameters:
+        refs = symbols_in(ast)
+        bound = tuple((k, float(v)) for k, v in parameters.items() if k in refs)
+    return _cached_code(order, ast, tuple(coordinate_names), bound)
+
+
 def compile_jet1(ast, coordinate_names, parameters=None):
     """Compile to fn(*coords) -> (value, gradient tuple); parameters bind now."""
-    gen = _CodeGen(coordinate_names, parameters)
-    val, ds = gen.emit(ast)
-    grad = "".join(("0.0" if d is None else d) + ", " for d in ds)
-    return gen.define(ast, f"{val}, ({grad})", "<stconvex-jet1>")
+    return _code(1, ast, coordinate_names, parameters)
 
 
 def compile_value(ast, coordinate_names, parameters=None):
     """Compile to fn(*coords) -> value; parameters bind now."""
-    gen = _CodeGen(coordinate_names, parameters)
-    val, _ = gen.emit(ast)
-    return gen.define(ast, val, "<stconvex-value>")
+    return _code(0, ast, coordinate_names, parameters)
+
+
+def _run(order, ast, coordinate_names, coordinate_values, parameters):
+    """(result of the compiled code at the point, the point)."""
+    names = tuple(coordinate_names)
+    values = tuple(float(v) for v in coordinate_values)
+    if len(values) != len(names):
+        raise ValueError(f"{len(values)} coordinate values for the {len(names)} "
+                         f"coordinates {names}")
+    return _code(order, ast, names, parameters)(*values), values
+
+
+def eval_jet2(ast, coordinate_names, coordinate_values, parameters=None) -> Jet2:
+    """Value, gradient, and Hessian of an expression at a point.
+
+    Coordinates are seeded as jet variables in the given order; parameters
+    bind as constants. Raises DomainError (with the expression attached) if
+    the point is outside an elementary function's domain.
+    """
+    (value, gradient, hessian), values = _run(2, ast, coordinate_names, coordinate_values,
+                                              parameters)
+    n = len(values)
+    out = Jet2(value, np.array(gradient), np.array(hessian).reshape(n, n))
+    if not (math.isfinite(value) and np.isfinite(out.gradient).all()
+            and np.isfinite(out.hessian).all()):
+        raise _wrap_domain("non-finite result", ast, values)
+    return out
+
+
+def eval_jet1(ast, coordinate_names, coordinate_values, parameters=None) -> Jet1:
+    """Value and gradient only; used where second derivatives are not needed."""
+    (value, gradient), values = _run(1, ast, coordinate_names, coordinate_values, parameters)
+    if not (math.isfinite(value) and all(map(math.isfinite, gradient))):
+        raise _wrap_domain("non-finite result", ast, values)
+    return Jet1(value, gradient)
+
+
+def eval_value(ast, coordinate_names, coordinate_values, parameters=None) -> float:
+    """Plain numeric evaluation (no derivatives)."""
+    value, values = _run(0, ast, coordinate_names, coordinate_values, parameters)
+    if not math.isfinite(value):
+        raise _wrap_domain("non-finite result", ast, values)
+    return value

@@ -1,4 +1,4 @@
-"""Parser, printer, and jet-arithmetic tests for the expression DSL."""
+"""Parser, printer, and jet tests for the expression DSL."""
 
 import math
 
@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stconvex.errors import DomainError, ParseError, UnknownSymbol
-from stconvex.expressions import (BinOp, Call, Neg, Num, Sym, compile_jet1,
-                                  compile_value, eval_jet1, eval_jet2, eval_value,
-                                  parse, to_source)
+from stconvex.expressions import (FUNCTIONS, BinOp, Call, Neg, Num, Sym, _cached_code,
+                                  compile_jet1, compile_value, eval_jet1, eval_jet2,
+                                  eval_value, parse, to_source)
 
 from conftest import fd_gradient, fd_hessian
 
@@ -153,21 +153,84 @@ def test_parameters_bind_as_constants():
     assert jet.gradient.tolist() == [12.0]
 
 
-_OVERFLOWING = parse("sinh(sinh(3*x)^3)", ("x",))
+def _compiled_jet1(ast, names, point):
+    return compile_jet1(ast, names)(*point)
 
 
-@pytest.mark.parametrize("evaluate", [
-    lambda: eval_jet2(_OVERFLOWING, ("x",), (1.0,)),
-    lambda: eval_jet1(_OVERFLOWING, ("x",), (1.0,)),
-    lambda: eval_value(_OVERFLOWING, ("x",), (1.0,)),
-    lambda: compile_jet1(_OVERFLOWING, ("x",))(1.0),
-    lambda: compile_value(_OVERFLOWING, ("x",))(1.0),
-], ids=["eval_jet2", "eval_jet1", "eval_value", "compile_jet1", "compile_value"])
-def test_overflow_is_domain_error(evaluate):
-    """sinh(1000) overflows a float; every evaluator reports it as a
-    DomainError naming the expression, never a bare OverflowError."""
-    with pytest.raises(DomainError, match=r"sinh\(sinh"):
-        evaluate()
+def _compiled_value(ast, names, point):
+    return compile_value(ast, names)(*point)
+
+
+#: evaluator -> (derivative order, fn(ast, names, point))
+_EVALUATORS = {
+    "eval_jet2": (2, eval_jet2),
+    "eval_jet1": (1, eval_jet1),
+    "eval_value": (0, eval_value),
+    "compile_jet1": (1, _compiled_jet1),
+    "compile_value": (0, _compiled_value),
+}
+
+#: rule -> (expression, coordinates, point, DomainError message, lowest
+#: derivative order the rule applies at)
+_DOMAIN_RULES = {
+    "overflow": ("sinh(sinh(3*x)^3)", ("x",), (1.0,), "overflow|range", 0),
+    "division-by-zero": ("1/x", ("x",), (0.0,), "division by zero", 0),
+    "abs-kink": ("abs(x)", ("x",), (0.0,), "abs is not differentiable at 0", 1),
+    "sqrt-at-zero": ("sqrt(x)", ("x",), (0.0,), "sqrt of non-positive value", 0),
+    "log-of-negative": ("log(x)", ("x",), (-1.0,), "log of non-positive value", 0),
+    "negative-power-of-zero": ("x^-2", ("x",), (0.0,), "division by zero", 0),
+    "non-integer-power-of-negative-base": ("x^0.5", ("x",), (-1.0,),
+                                           "non-integer power of non-positive base", 0),
+    "non-constant-exponent-of-non-positive-base": ("x^y", XY, (-2.0, 3.0),
+                                                   "log of non-positive value", 0),
+    # d(x/y)/dy divides by y*y, which underflows to 0 while y itself does not
+    "underflowed-denominator-square": ("x/y", XY, (1.0, 1e-200), "division by zero", 1),
+}
+
+
+# the overflow rows keep bare evaluator ids, so their test ids stay stable
+@pytest.mark.parametrize("rule, evaluator", [
+    pytest.param(rule, name, id=name if rule == "overflow" else f"{name}-{rule}")
+    for rule in _DOMAIN_RULES for name in _EVALUATORS])
+def test_overflow_is_domain_error(rule, evaluator):
+    """Every domain rule, float overflow included, raises a DomainError that
+    names the expression in all five evaluators, never a bare OverflowError.
+    A rule of the derivative leaves the value finite: abs(0) itself is 0."""
+    text, names, point, message, lowest_order = _DOMAIN_RULES[rule]
+    order, evaluate = _EVALUATORS[evaluator]
+    ast = parse(text, names)
+    if order < lowest_order:
+        assert math.isfinite(evaluate(ast, names, point))
+        return
+    with pytest.raises(DomainError, match=message) as info:
+        evaluate(ast, names, point)
+    assert f"while evaluating '{to_source(ast)}' at {point}" in str(info.value)
+
+
+@pytest.mark.parametrize("k, value, slope, curvature", [
+    (0.0, 1.0, 0.0, 0.0), (1.0, 0.0, 1.0, 0.0), (2.0, 0.0, 0.0, 2.0), (3.0, 0.0, 0.0, 0.0)])
+def test_integer_power_jet_at_zero(k, value, slope, curvature):
+    jet = eval_jet2(BinOp("^", Sym("x"), Num(k)), ("x",), (0.0,))
+    assert (jet.value, jet.gradient.tolist(), jet.hessian.tolist()) == \
+        (value, [slope], [[curvature]])
+
+
+def test_negative_integer_power_at_zero_raises():
+    with pytest.raises(DomainError, match="division by zero"):
+        eval_jet2(parse("x^-1", ("x",)), ("x",), (0.0,))
+
+
+@pytest.mark.parametrize("evaluate", [eval_jet2, eval_jet1, eval_value])
+def test_infinite_literal_is_domain_error(evaluate):
+    with pytest.raises(DomainError, match="non-finite result"):
+        evaluate(parse("1e999*x", ("x",)), ("x",), (1.0,))
+
+
+@pytest.mark.parametrize("evaluate", [eval_jet2, eval_jet1, eval_value])
+@pytest.mark.parametrize("values", [(3.0,), (3.0, 4.0, 5.0)], ids=["missing", "extra"])
+def test_coordinate_count_must_match_names(evaluate, values):
+    with pytest.raises(ValueError, match="coordinate values for the 2 coordinates"):
+        evaluate(parse("x*x", XY), XY, values)
 
 
 def test_nonconstant_exponent_needs_positive_base():
@@ -210,6 +273,9 @@ def _safe_extend(children):
             lambda t: BinOp("^", t[0], Num(t[1]))),
         st.tuples(st.sampled_from(("sin", "cos", "sinh", "cosh", "tanh", "exp")),
                   children).map(lambda t: Call(t[0], t[1])),
+        # sqrt and log on a positive argument, 0.5 + u^2
+        st.tuples(st.sampled_from(("sqrt", "log")), children).map(
+            lambda t: Call(t[0], BinOp("+", Num(0.5), BinOp("^", t[1], Num(2.0))))),
     )
 
 
@@ -280,25 +346,81 @@ def test_linearity_law(u_ast, v_ast, x, y, a):
 
 
 # --------------------------------------------------------------------------
-# compiled closures agree with the interpreted jets
+# one emitter: every order agrees with finite differences and with the others
 # --------------------------------------------------------------------------
 
 @settings(max_examples=150, deadline=None)
 @given(_safe_asts, st.floats(0.4, 1.6), st.floats(0.4, 1.6))
-def test_compiled_jet1_matches_interpreter(ast, x, y):
+def test_compiled_jet1_matches_finite_differences(ast, x, y):
     point = (x, y)
     try:
-        reference = eval_jet1(ast, XY, point)
+        value, gradient = compile_jet1(ast, XY)(*point)
+    except DomainError:
+        for evaluate in (eval_jet1, _compiled_value):
+            with pytest.raises(DomainError):
+                evaluate(ast, XY, point)
+        return
+    if not all(abs(v) <= 1e4 for v in (value, *gradient)):
+        return
+    value_fn = compile_value(ast, XY)
+    jet = eval_jet1(ast, XY, point)
+    assert value_fn(*point) == value == jet.value
+    assert jet.gradient == gradient
+    fd = fd_gradient(lambda q: value_fn(*q), np.array(point), h=1e-3)
+    assert (np.abs(np.array(gradient) - fd) / (1.0 + np.abs(fd))).max() < 1e-7
+
+
+@settings(max_examples=150, deadline=None)
+@given(_safe_asts, st.floats(0.4, 1.6), st.floats(0.4, 1.6))
+def test_jet1_and_jet2_value_and_gradient_bit_identical(ast, x, y):
+    point = (x, y)
+    try:
+        j1 = eval_jet1(ast, XY, point)
     except DomainError:
         with pytest.raises(DomainError):
-            compile_jet1(ast, XY)(*point)
+            eval_jet2(ast, XY, point)
         return
-    value, gradient = compile_jet1(ast, XY)(*point)
-    assert value == pytest.approx(reference.value, rel=1e-14, abs=1e-14)
-    for got, want in zip(gradient, reference.gradient):
-        assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
-    assert compile_value(ast, XY)(*point) == pytest.approx(reference.value,
-                                                           rel=1e-14, abs=1e-14)
+    try:
+        j2 = eval_jet2(ast, XY, point)
+    except DomainError as exc:
+        # the Hessian entries are the only lines jet1 does not run
+        assert "non-finite result" in str(exc)
+        return
+    assert j2.value == j1.value
+    assert j2.gradient.tolist() == list(j1.gradient)
+
+
+def test_equal_asts_share_compiled_code():
+    """A re-parsed equal expression hits the cache, and so does a new value
+    of a parameter the expression does not reference."""
+    _cached_code.cache_clear()
+    eval_jet2(parse("x*sin(y)", XY), XY, (0.3, 0.4), {"M": 1.0})
+    jet = eval_jet2(parse("x*sin(y)", XY), XY, (0.5, 0.6), {"M": 2.0})
+    info = _cached_code.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert jet.value == 0.5 * math.sin(0.6)
+
+
+def test_compile_shares_the_evaluator_cache():
+    """compile_jet1 and compile_value take their code from the same cache:
+    a second model with equal components reuses the first one's closures."""
+    _cached_code.cache_clear()
+    ast = parse("1 - 2*M/r", ("r", "M"))
+    first = compile_jet1(ast, ("r",), {"M": 1.0, "a": 0.0})
+    assert compile_jet1(parse("1 - 2*M/r", ("r", "M")), ("r",), {"M": 1.0, "a": 5.0}) is first
+    assert compile_jet1(ast, ("r",), {"M": 2.0}) is not first
+    assert compile_value(ast, ("r",), {"M": 1.0}) is not first
+    assert eval_jet1(ast, ("r",), (4.0,), {"M": 1.0}).gradient == first(4.0)[1]
+    info = _cached_code.cache_info()
+    assert (info.misses, info.hits) == (3, 2)
+
+
+def test_compiled_code_cache_is_bounded():
+    ast = parse("M*x", ("x", "M"))
+    for k in range(1000):
+        assert eval_value(ast, ("x",), (2.0,), {"M": float(k)}) == 2.0 * k
+    info = _cached_code.cache_info()
+    assert info.currsize == info.maxsize
 
 
 def test_compiled_parameters_inline():
@@ -323,6 +445,32 @@ def test_abs_kink_rejected():
     jet = eval_jet2(parse("abs(x)", ("x",)), ("x",), (-2.0,))
     assert jet.value == 2.0
     assert jet.gradient.tolist() == [-1.0]
+
+
+#: function -> (argument, value, first and second derivative in closed form)
+_CLOSED_FORMS = {
+    "sin": (0.3, math.sin(0.3), math.cos(0.3), -math.sin(0.3)),
+    "cos": (0.3, math.cos(0.3), -math.sin(0.3), -math.cos(0.3)),
+    "tan": (0.3, math.tan(0.3), 1.0 / math.cos(0.3) ** 2,
+            2.0 * math.sin(0.3) / math.cos(0.3) ** 3),
+    "sinh": (0.3, math.sinh(0.3), math.cosh(0.3), math.sinh(0.3)),
+    "cosh": (0.3, math.cosh(0.3), math.sinh(0.3), math.cosh(0.3)),
+    "tanh": (0.3, math.tanh(0.3), 1.0 / math.cosh(0.3) ** 2,
+             -2.0 * math.sinh(0.3) / math.cosh(0.3) ** 3),
+    "exp": (0.3, math.exp(0.3), math.exp(0.3), math.exp(0.3)),
+    "log": (2.0, math.log(2.0), 0.5, -0.25),
+    "sqrt": (4.0, 2.0, 0.25, -1.0 / 32.0),
+    "abs": (-2.0, 2.0, -1.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("func", FUNCTIONS)
+def test_function_jet_closed_form(func):
+    arg, value, slope, curvature = _CLOSED_FORMS[func]
+    jet = eval_jet2(Call(func, Sym("x")), ("x",), (arg,))
+    assert jet.value == pytest.approx(value, rel=1e-14)
+    assert jet.gradient[0] == pytest.approx(slope, rel=1e-14)
+    assert jet.hessian[0, 0] == pytest.approx(curvature, rel=1e-14, abs=0.0)
 
 
 def test_tan_derivatives():
