@@ -7,12 +7,12 @@ The pointwise condition at a fixed point is
     V^T H V >= c V^T G V   for all tangent V,  i.e.  H - c G positive
 
 semidefinite. Since lambda_min(H - cG) is concave in c, the admissible set of
-c is an interval; its endpoints are located with a PSD oracle (smallest
-eigenvalue with tolerance) bisected between probes seeded at the real
-eigenvalues of the pencil (H, G), which is where H - cG can change
-definiteness. Region certificates intersect the per-point intervals over a
-coordinate-box grid; they are explicitly *sampled* certificates and record
-the grid used.
+c is an interval. H - cG can only change definiteness where it is singular,
+at an eigenvalue of the pencil (H, G), so the endpoints are the extreme
+pencil eigenvalues (or 0, or the search ceiling) that pass a PSD test
+(smallest eigenvalue with tolerance). Region certificates intersect the
+per-point intervals over a coordinate-box grid; they are explicitly
+*sampled* certificates and record the grid used.
 
 A certificate also reports, independently, whether the Hessian itself has
 Lorentzian signature at every sample: the two clauses (signature and
@@ -36,8 +36,8 @@ from .expressions import ScalarField
 from .geometry import (Point, SpacetimeModel, _signature_counts,
                        covariant_hessian, evaluator_for, is_lorentzian)
 
-#: intervals whose upper endpoint is below the endpoint resolution are
-#: indistinguishable from empty and reported as such
+#: accuracy of a computed endpoint: intervals whose upper endpoint is below
+#: it are reported empty, and intervals whose ends cross by at most it touch
 ENDPOINT_RESOLUTION = 1e-9
 
 
@@ -75,11 +75,14 @@ class CInterval:
     ceiling_hit: bool = False
 
     def intersect(self, other: "CInterval | None") -> "CInterval | None":
+        """The common part, or None when empty. Ends computed at different
+        points differ by rounding, so ends that cross by at most
+        ENDPOINT_RESOLUTION touch: lo may then exceed hi by that much."""
         if other is None:
             return None
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
-        if lo > hi:
+        if lo > hi + ENDPOINT_RESOLUTION:
             return None
         return CInterval(lo, hi, self.ceiling_hit or other.ceiling_hit)
 
@@ -88,56 +91,38 @@ def admissible_c_interval(h: np.ndarray, g: np.ndarray, tol: float = 1e-10,
                           ceiling: float = 1e3) -> CInterval | None:
     """The interval {c in (0, ceiling] : H - cG is PSD}, or None when empty.
 
-    Endpoints are accurate to better than 1e-9. G must be Lorentzian.
+    The probes are 0, the real part of every pencil eigenvalue in (0,
+    ceiling), the ceiling and the midpoints between them, all tested in one
+    stacked eigvalsh call; lo and hi are the extreme probes that pass. Ends
+    are accurate to 1e-9 when the pencil is diagonalizable and to about 1e-7
+    at a defective root, where eigvals itself is only accurate to sqrt(eps).
+    G must be Lorentzian.
     """
     h = np.asarray(h, dtype=float)
     g = np.asarray(g, dtype=float)
     if not is_lorentzian(g):
         raise NonLorentzianMetric("the matrix supplied as the metric is not Lorentzian")
 
-    def feasible(c):
-        return float(np.linalg.eigvalsh(h - c * g)[0]) >= -tol
-
-    # Definiteness of H - cG can only change where the pencil is singular,
-    # i.e. at real eigenvalues of G^{-1} H.
-    pencil = np.linalg.eigvals(np.linalg.solve(g, h))
-    candidates = sorted(float(ev.real) for ev in pencil
-                        if abs(ev.imag) <= 1e-9 * max(1.0, abs(ev))
-                        and 0.0 < ev.real < ceiling)
+    # An endpoint of the admissible set is a c where H - cG turns singular: a
+    # pencil eigenvalue. A defective root comes back as a near-real complex
+    # pair, so every eigenvalue's real part is a candidate.
+    pencil = np.linalg.eigvals(np.linalg.solve(g, h)).real
     probes = [0.0]
-    for c in candidates:
+    for c in np.sort(pencil[(pencil > 0.0) & (pencil < ceiling)]):
         if c - probes[-1] > 1e-12:
-            probes.append(c)
+            probes.append(float(c))
     if ceiling - probes[-1] > 1e-12:
         probes.append(ceiling)
-    # probe candidates and segment midpoints; the feasible set is an interval,
-    # so any feasible probe exposes it
-    points = []
-    for a, b in zip(probes, probes[1:]):
-        points.append(a)
-        points.append(0.5 * (a + b))
-    points.append(probes[-1])
-    flags = [feasible(c) for c in points]
-    if not any(flags):
+    # the probes and the segment midpoints, tested in one stacked call; the
+    # feasible set is an interval, so its extreme feasible probes are its ends
+    cs = np.empty(2 * len(probes) - 1)
+    cs[0::2] = probes
+    cs[1::2] = 0.5 * (cs[:-1:2] + cs[2::2])
+    feasible = np.flatnonzero(np.linalg.eigvalsh(h - cs[:, None, None] * g)[:, 0] >= -tol)
+    if feasible.size == 0 or cs[feasible[-1]] <= ENDPOINT_RESOLUTION:
         return None
-    first = flags.index(True)
-    last = len(flags) - 1 - flags[::-1].index(True)
-
-    def refine(c_bad, c_good):
-        while abs(c_good - c_bad) > 1e-11:
-            mid = 0.5 * (c_bad + c_good)
-            if feasible(mid):
-                c_good = mid
-            else:
-                c_bad = mid
-        return 0.5 * (c_bad + c_good)
-
-    lo = points[first] if first == 0 else refine(points[first - 1], points[first])
-    ceiling_hit = last == len(points) - 1
-    hi = ceiling if ceiling_hit else refine(points[last + 1], points[last])
-    if hi <= ENDPOINT_RESOLUTION:
-        return None
-    return CInterval(max(lo, 0.0), hi, ceiling_hit)
+    return CInterval(float(cs[feasible[0]]), float(cs[feasible[-1]]),
+                     bool(feasible[-1] == cs.size - 1))
 
 
 @dataclass(frozen=True)

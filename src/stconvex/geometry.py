@@ -164,7 +164,11 @@ class VectorClass(enum.Enum):
 
 
 def _signature_counts(matrix, tol=SIGNATURE_TOL):
-    eigenvalues = np.linalg.eigvalsh(matrix)
+    return _sign_counts(np.linalg.eigvalsh(matrix), tol)
+
+
+def _sign_counts(eigenvalues, tol=SIGNATURE_TOL):
+    """(negative, zero, positive) eigenvalue counts, zero meaning |lambda| <= tol."""
     negative = int(np.sum(eigenvalues < -tol))
     zero = int(np.sum(np.abs(eigenvalues) <= tol))
     return negative, zero, len(eigenvalues) - negative - zero
@@ -250,15 +254,20 @@ class MetricEvaluator:
             return MetricAt(point, g, ginv, dg, gamma)
         g, dg = self.components(coords)
         if checks or self._constant:
-            det = np.linalg.det(g)
+            # one eigendecomposition gives all three checks: for a symmetric g,
+            # det is the product of the eigenvalues and the 2-norm condition
+            # number is max |lambda| / min |lambda|
+            eigenvalues = np.linalg.eigvalsh(g)
+            det = np.prod(eigenvalues)
             if abs(det) < DET_TOL:
                 raise SingularMetric(f"|det g| = {abs(det):.3e} below tolerance at {coords}")
-            if not is_lorentzian(g):
-                negative, zero, positive = _signature_counts(g)
+            negative, zero, positive = _sign_counts(eigenvalues)
+            if (negative, zero) != (1, 0):
                 raise WrongSignature(
                     f"metric signature ({negative} negative, {zero} zero, {positive} positive) "
                     f"is not Lorentzian at {coords}")
-            cond = np.linalg.cond(g)
+            magnitudes = np.abs(eigenvalues)
+            cond = magnitudes.max() / magnitudes.min()
             if not np.isfinite(cond) or cond > CONDITION_CAP:
                 raise SingularMetric(f"metric condition estimate {cond:.3e} exceeds "
                                      f"{CONDITION_CAP:.0e} at {coords}")

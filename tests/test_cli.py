@@ -39,10 +39,14 @@ def write(tmp_path, name, text):
 
 def test_certify_success(tmp_path, capsys):
     cfg = write(tmp_path, "c.cfg", CERTIFY_TEMPLATE.format(alpha=0.5))
-    code, out, _ = run(capsys, "certify", "--config", cfg, "--no-timestamp")
+    code, out, _ = run(capsys, "certify", "--config", cfg, "--no-timestamp",
+                       "--structured")
     assert code == 0
-    assert "verdict: certified" in out
-    assert "0.49999999990" in out and "1.0000000001" in out
+    report = dict(line.split(" = ", 1) for line in out.splitlines() if " = " in line)
+    assert report["verdict"] == "certified"
+    # the closed form is [alpha, 1]
+    assert float(report["c_interval.lo"]) == pytest.approx(0.5, abs=1e-9)
+    assert float(report["c_interval.hi"]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_certify_violated_exit_2(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stconvex import (ConvexityQuery, NonLorentzianMetric, NullGradient, Point,
+from stconvex import (CInterval, ConvexityQuery, NonLorentzianMetric, NullGradient, Point,
                       admissible_c_interval, builtin_models, canonical_field,
                       canonical_field_spherical, certify_region,
                       gradient_invariant, hessian_signature)
@@ -82,6 +82,39 @@ def test_interval_matches_brute_force(rng):
             assert interval.hi == pytest.approx(brute[1], abs=2 * grid_step)
 
 
+def test_interval_ends_pass_the_psd_test(rng):
+    """Both ends are probes that passed the PSD test."""
+    for _ in range(40):
+        h = _random_symmetric(rng)
+        interval = admissible_c_interval(h, ETA, ceiling=20.0)
+        if interval is not None:
+            for c in (interval.lo, interval.hi):
+                assert np.linalg.eigvalsh(h - c * ETA)[0] >= -1e-10
+
+
+def test_interval_defective_pencil(rng):
+    """H = c* G + a (Gk)(Gk)^T + diag(0, 0, s, s) with k null: the feasible set
+    is {c*}, a double root that eigvals returns as a near-real complex pair
+    or as two real roots about 1e-8 apart."""
+    k = np.array([1.0, 1.0, 0.0, 0.0])
+    gk = ETA @ k
+    for _ in range(100):
+        c_star, a, s = rng.uniform(0.2, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        h = c_star * ETA + a * np.outer(gk, gk) + np.diag([0.0, 0.0, s, s])
+        interval = admissible_c_interval(h, ETA, ceiling=20.0)
+        assert interval is not None
+        assert interval.lo == pytest.approx(c_star, abs=1e-7)
+        assert interval.hi == pytest.approx(c_star, abs=1e-7)
+
+
+def test_intersect_ends_touch_within_resolution():
+    a = CInterval(0.5, 1.0)
+    touching = a.intersect(CInterval(1.0 + 5e-10, 2.0))
+    assert (touching.lo, touching.hi) == (1.0 + 5e-10, 1.0)
+    assert a.intersect(CInterval(1.0 + 2e-9, 2.0)) is None
+    assert a.intersect(CInterval(0.75, 2.0, ceiling_hit=True)) == CInterval(0.75, 1.0, True)
+
+
 def test_interval_convexity_property(rng):
     """Midpoints of admissible endpoints are admissible."""
     for _ in range(40):
@@ -131,6 +164,41 @@ def test_certify_canonical_half():
     assert cert.c_interval.hi == pytest.approx(1.0, abs=1e-9)
     assert cert.lorentzian_hessian_everywhere
     assert cert.witness is None
+
+
+def _closed_form_case(chart, alpha):
+    model = CAT.model(chart)
+    if chart == "minkowski-spherical":
+        return model, canonical_field_spherical(alpha)
+    # the canonical field on the Milne wedge, t = tau cosh(chi), x = tau sinh(chi)
+    return model, model.field(f"0.5*tau^2*(sinh(chi)^2 - {alpha!r}*cosh(chi)^2)")
+
+
+@pytest.mark.parametrize("chart", ["minkowski-spherical", "milne"])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.8])
+def test_per_point_intervals_match_closed_form(chart, alpha):
+    """Every grid point's interval is [alpha, 1] to 1e-9."""
+    model, f = _closed_form_case(chart, alpha)
+    cert = certify_region(model, f, ConvexityQuery(region=model.sample_box,
+                                                   samples_per_axis=3))
+    stats = cert.per_point_stats
+    for lo in (stats.c_lo_min, stats.c_lo_max):
+        assert lo == pytest.approx(alpha, abs=1e-9)
+    for hi in (stats.c_hi_min, stats.c_hi_max):
+        assert hi == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("chart", ["minkowski-spherical", "milne"])
+def test_certify_alpha_one_on_curvilinear_charts(chart):
+    """At alpha = 1 every per-point interval is the single point {1}, whose
+    computed value differs from point to point by rounding; the intersection
+    still holds it."""
+    model, f = _closed_form_case(chart, 1.0)
+    cert = certify_region(model, f, ConvexityQuery(region=model.sample_box,
+                                                   samples_per_axis=3))
+    assert cert.verdict == "certified"
+    assert cert.c_interval.lo == pytest.approx(1.0, abs=1e-9)
+    assert cert.c_interval.hi == pytest.approx(1.0, abs=1e-9)
 
 
 def test_certify_canonical_alpha_above_one_violated():

@@ -56,7 +56,8 @@ def test_wrong_signature_rejected():
     riemannian = SpacetimeModel.from_components(
         name="euclidean", coordinate_names=("t", "x"),
         components={(0, 0): "1", (1, 1): "1"})
-    with pytest.raises(WrongSignature):
+    with pytest.raises(WrongSignature,
+                       match=r"\(0 negative, 0 zero, 2 positive\) is not Lorentzian"):
         eval_metric(riemannian, Point((0.0, 0.0)))
 
 
@@ -64,7 +65,8 @@ def test_degenerate_determinant_rejected():
     degenerate = SpacetimeModel.from_components(
         name="degenerate", coordinate_names=("t", "x"),
         components={(0, 0): "-1", (1, 1): "0.0"})
-    with pytest.raises(SingularMetric):
+    # the zero eigenvalue also breaks the signature: the determinant check fires first
+    with pytest.raises(SingularMetric, match=r"\|det g\| = 0\.000e\+00 below tolerance"):
         eval_metric(degenerate, Point((0.0, 0.0)))
 
 
@@ -72,7 +74,7 @@ def test_condition_cap_rejected():
     stiff = SpacetimeModel.from_components(
         name="stiff", coordinate_names=("t", "x"),
         components={(0, 0): "-1", (1, 1): "1e13"})
-    with pytest.raises(SingularMetric):
+    with pytest.raises(SingularMetric, match=r"condition estimate 1\.000e\+13 exceeds 1e\+12"):
         eval_metric(stiff, Point((0.0, 0.0)))
 
 
