@@ -35,7 +35,12 @@ class DomainError(ToolkitError):
 
 
 class SingularMetric(ToolkitError):
-    """Metric degenerate, ill-conditioned, or point on a declared singular locus."""
+    """Metric degenerate, ill-conditioned, or point on a declared singular
+    locus; `locus` is that locus's source text, or empty."""
+
+    def __init__(self, message, locus=""):
+        self.locus = locus
+        super().__init__(message)
 
 
 class WrongSignature(ToolkitError):

@@ -22,10 +22,11 @@ are dimensionless (geometric units throughout).
 There is one evaluator: `_CodeGen` emits straight-line Python for the value,
 the gradient and the upper triangle of the Hessian, mirrored so that the
 Hessian is symmetric to the bit. Parameters bind as constants when the code
-is compiled. All five entry points (`compile_jet1`, `compile_value`,
-`eval_jet2`, `eval_jet1`, `eval_value`) take that code from one bounded LRU
-cache keyed by the order, the AST, the coordinate names and the values of
-the parameters the AST references.
+is compiled. All six entry points (`compile_jet1`, `compile_jets1`,
+`compile_value`, `eval_jet2`, `eval_jet1`, `eval_value`) take that code from
+one bounded LRU cache keyed by the order, the AST (or, for the fused
+`compile_jets1`, the tuple of ASTs), the coordinate names and the values of
+the parameters the ASTs reference.
 """
 
 from __future__ import annotations
@@ -560,17 +561,17 @@ class _CodeGen:
             return a
         return self.temp(f"{a} {op} {b}")
 
-    def define(self, ast, result, filename):
+    def define(self, ast, result, filename, culprit="_ast"):
         """Compile the emitted lines into _fn(x0, ...) -> result; one try block
         turns a DomainError, an overflow or a division by an underflowed
-        square anywhere in them into a DomainError naming the expression and
-        the point."""
+        square anywhere in them into a DomainError naming the expression (the
+        code `culprit`, evaluated over `_ast`) and the point."""
         args = ", ".join(f"x{i}" for i in range(len(self.coords)))
         point = f"({args}{',' if self.coords else ''})"
         body = "".join(line + "\n" for line in self.lines) or "        pass\n"
         src = (f"def _fn({args}):\n    try:\n{body}"
                "    except (DomainError, ArithmeticError) as exc:\n"
-               f"        raise _wrap_domain(exc, _ast, {point}) from None\n"
+               f"        raise _wrap_domain(exc, {culprit}, {point}) from None\n"
                f"    return {result}\n")
         ns = dict(_COMPILE_GLOBALS, _ast=ast)
         exec(compile(src, filename, "exec"), ns)  # noqa: S102 - our own codegen
@@ -579,8 +580,18 @@ class _CodeGen:
 
 def _compile(ast, coordinate_names, parameters, order):
     """fn(*coords) -> value (order 0), (value, gradient) (order 1) or
-    (value, gradient, row-major Hessian) (order 2), as plain float tuples."""
+    (value, gradient, row-major Hessian) (order 2), as plain float tuples.
+    A tuple of ASTs at order 1 compiles to one fused fn returning the flat
+    tuple (value, gradient..., value, gradient..., ...)."""
     gen = _CodeGen(coordinate_names, parameters, order)
+    if isinstance(ast, tuple):
+        parts = []
+        for k, node in enumerate(ast):
+            gen.lines.append(f"        _k = {k}")  # names the failing expression
+            val, ds, _ = gen.emit(node)
+            parts += [val] + ["0.0" if d is None else d for d in ds]
+        result = "(" + "".join(p + ", " for p in parts) + ")"
+        return gen.define(ast, result, "<stconvex-fused>", culprit="_ast[_k]")
     val, ds, hs = gen.emit(ast)
     result = val
     if order >= 1:
@@ -604,7 +615,8 @@ def _code(order, ast, coordinate_names, parameters):
     are re-parsed and whichever entry point asks."""
     bound = ()
     if parameters:
-        refs = symbols_in(ast)
+        refs = frozenset().union(*map(symbols_in, ast)) if isinstance(ast, tuple) \
+            else symbols_in(ast)
         bound = tuple((k, float(v)) for k, v in parameters.items() if k in refs)
     return _cached_code(order, ast, tuple(coordinate_names), bound)
 
@@ -612,6 +624,13 @@ def _code(order, ast, coordinate_names, parameters):
 def compile_jet1(ast, coordinate_names, parameters=None):
     """Compile to fn(*coords) -> (value, gradient tuple); parameters bind now."""
     return _code(1, ast, coordinate_names, parameters)
+
+
+def compile_jets1(asts, coordinate_names, parameters=None):
+    """Compile several expressions into one fn(*coords) -> flat tuple of each
+    expression's value followed by its gradient, in order. Each expression's
+    lines are those compile_jet1 emits, so the numbers are bit-identical."""
+    return _code(1, tuple(asts), coordinate_names, parameters)
 
 
 def compile_value(ast, coordinate_names, parameters=None):

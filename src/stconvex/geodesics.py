@@ -2,17 +2,24 @@
 
 Geodesics are integrated with classical fixed-step RK4 on
 
-    dx^mu/dlam = v^mu,    dv^mu/dlam = -Gamma^mu_{nu rho} v^nu v^rho,
+    dx^mu/dlam = v^mu,    dv^mu/dlam = a^mu = -Gamma^mu_{nu rho} v^nu v^rho,
 
 with g(v, v) recorded at every sample as a conserved-quantity diagnostic.
+The acceleration is solved with g at each stage, g_{ms} a^s = -w_m with
+w_m = d_n g_{mr} v^n v^r - 1/2 d_m g_{nr} v^n v^r, so neither g^{-1} nor
+Gamma is formed. Every stage point and the step's end are checked against
+the signs of the singular-locus expressions at the step's start.
+
 The probes evaluate the pointwise margin
 
     m(lam) = V^mu V^nu nabla_mu nabla_nu f - c g(V, V)
+           = V . dd f . V + a . df - c g(V, V)
 
-with V the curve tangent; for a field certified with constant c, the margin
-is nonnegative along every geodesic, and no closed spacelike loop can keep
-the *full* second derivative of f along the curve above c g(V, V) (a
-periodic function has no strictly convex parametrization).
+with V the curve tangent and a its geodesic acceleration, so the margin
+needs only the field jet and (g, dg). For a field certified with constant
+c, the margin is nonnegative along every geodesic, and no closed spacelike
+loop can keep the *full* second derivative of f along the curve above
+c g(V, V) (a periodic function has no strictly convex parametrization).
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ import numpy as np
 from . import expressions as ex
 from .errors import NotClosed, SingularMetric, StepSizeInvalid, ToolkitError
 from .geometry import (Point, SpacetimeModel, TangentVector, VectorClass,
-                       classify_vector, covariant_hessian, covariant_hessian_from,
-                       evaluator_for, field_jet)
+                       classify_vector, covariant_hessian_from, evaluator_for, field_jet,
+                       geodesic_acceleration)
 
 DEFAULT_STEP = 1e-3
 
@@ -43,7 +50,11 @@ class GeodesicState:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Integrated curve: (lam, state) samples with per-sample g(v, v)."""
+    """Integrated curve: (lam, state) samples with per-sample g(v, v).
+
+    A truncated trajectory records the lam of the step it could not take
+    (its last sample's lam) and the source text of the singular locus that
+    stopped it, empty when another error did."""
 
     model: SpacetimeModel
     samples: tuple[tuple[float, GeodesicState], ...]
@@ -51,6 +62,8 @@ class Trajectory:
     step_size: float
     truncated: bool = False
     truncation_reason: str = ""
+    truncation_lambda: float | None = None
+    truncation_locus: str = ""
 
     @property
     def max_norm_drift(self) -> float:
@@ -71,7 +84,9 @@ def integrate_geodesic(model: SpacetimeModel, s0: GeodesicState,
                        step: float = DEFAULT_STEP) -> Trajectory:
     """Fixed-step RK4; no adaptivity, so runs are deterministic and step
     halving quarters-squared the position error. Entering a declared
-    singular-locus guard truncates the trajectory instead of raising."""
+    singular-locus guard, or a stage point or step end on the other side of
+    a locus than the step's start, truncates the trajectory instead of
+    raising."""
     if not step > 0.0:
         raise StepSizeInvalid(f"step must be positive, got {step!r}")
     lam0, lam1 = float(lambda_span[0]), float(lambda_span[1])
@@ -84,8 +99,22 @@ def integrate_geodesic(model: SpacetimeModel, s0: GeodesicState,
     if len(x) != d or len(v) != d:
         raise ValueError("initial state dimension does not match the chart")
 
-    def acceleration(gamma, vel):
-        return -np.einsum("mnr,n,r->m", gamma, vel, vel)
+    def same_side(coords, start, lam):
+        """Locus values at coords; raises if a sign differs from start's."""
+        values = evaluator.locus_values(coords)
+        for node, a, b in zip(model.singular_loci, start, values):
+            if a * b < 0.0:
+                locus = ex.to_source(node)
+                raise SingularMetric(f"step from lambda = {lam} crossed the singular "
+                                     f"locus {locus} = 0", locus=locus)
+        return values
+
+    def acceleration(coords, vel, start, lam):
+        # metric_at's guard goes first: a stage point within LOCUS_GUARD of a
+        # locus reports the guard, whichever side of the locus it lies on
+        m = evaluator.metric_at(Point(coords), checks=False)
+        same_side(coords, start, lam)
+        return geodesic_acceleration(m.g, m.first_derivatives, vel)
 
     n_full = int(np.floor((lam1 - lam0) / step + 1e-12))
     remainder = (lam1 - lam0) - n_full * step
@@ -96,6 +125,8 @@ def integrate_geodesic(model: SpacetimeModel, s0: GeodesicState,
     lam = lam0
     truncated = False
     reason = ""
+    stop_lambda = None
+    stop_locus = ""
     metric_here = evaluator.metric_at(Point(x))
     loci_here = evaluator.locus_values(x)
     for h in steps + [None]:
@@ -106,35 +137,28 @@ def integrate_geodesic(model: SpacetimeModel, s0: GeodesicState,
             break
         try:
             k1x = v
-            k1v = acceleration(metric_here.christoffels, v)
-            m2 = evaluator.metric_at(Point(x + 0.5 * h * k1x), checks=False)
+            k1v = geodesic_acceleration(metric_here.g, metric_here.first_derivatives, v)
             k2x = v + 0.5 * h * k1v
-            k2v = acceleration(m2.christoffels, k2x)
-            m3 = evaluator.metric_at(Point(x + 0.5 * h * k2x), checks=False)
+            k2v = acceleration(x + 0.5 * h * k1x, k2x, loci_here, lam)
             k3x = v + 0.5 * h * k2v
-            k3v = acceleration(m3.christoffels, k3x)
-            m4 = evaluator.metric_at(Point(x + h * k3x), checks=False)
+            k3v = acceleration(x + 0.5 * h * k2x, k3x, loci_here, lam)
             k4x = v + h * k3v
-            k4v = acceleration(m4.christoffels, k4x)
+            k4v = acceleration(x + h * k3x, k4x, loci_here, lam)
             x_next = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
             v_next = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            loci_next = evaluator.locus_values(x_next)
-            crossed = [i for i, (a, b) in enumerate(zip(loci_here, loci_next))
-                       if a * b < 0.0]
-            if crossed:
-                node = model.singular_loci[crossed[0]]
-                raise SingularMetric(
-                    f"step from lambda = {lam} crossed the singular locus "
-                    f"{ex.to_source(node)} = 0")
-            x, v, loci_here = x_next, v_next, loci_next
+            loci_here = same_side(x_next, loci_here, lam)
+            x, v = x_next, v_next
             lam = lam + h
             metric_here = evaluator.metric_at(Point(x))
         except ToolkitError as exc:
             truncated = True
             reason = str(exc)
+            stop_lambda = samples[-1][0]
+            stop_locus = getattr(exc, "locus", "")
             break
     return Trajectory(model=model, samples=tuple(samples), norm_history=tuple(norms),
-                      step_size=step, truncated=truncated, truncation_reason=reason)
+                      step_size=step, truncated=truncated, truncation_reason=reason,
+                      truncation_lambda=stop_lambda, truncation_locus=stop_locus)
 
 
 @dataclass(frozen=True)
@@ -156,7 +180,9 @@ class MarginReport:
 
 def convexity_along_curve(f: ex.ScalarField, trajectory: Trajectory, c: float,
                           tolerance: float = 1e-10) -> MarginReport:
-    """m(lam) = v^mu v^nu nabla_mu nabla_nu f - c g(v, v) at every sample."""
+    """m(lam) = v^mu v^nu nabla_mu nabla_nu f - c g(v, v) at every sample,
+    taken as v . dd f . v + a . df - c g(v, v) with a the geodesic
+    acceleration of v."""
     if not trajectory.samples:
         raise ValueError("empty trajectory")
     model = trajectory.model
@@ -165,9 +191,11 @@ def convexity_along_curve(f: ex.ScalarField, trajectory: Trajectory, c: float,
     for (lam, state) in trajectory.samples:
         p = state.position
         metric_at = evaluator.metric_at(p, checks=False)
-        hess = covariant_hessian(f, model, p, metric_at=metric_at)
+        jet = field_jet(f, model, p)
         vel = state.velocity.array()
-        margins.append(float(vel @ hess @ vel - c * (vel @ metric_at.g @ vel)))
+        accel = geodesic_acceleration(metric_at.g, metric_at.first_derivatives, vel)
+        margins.append(float(vel @ jet.hessian @ vel + accel @ jet.gradient
+                             - c * (vel @ metric_at.g @ vel)))
     idx = int(np.argmin(margins))
     lam0, state0 = trajectory.samples[0]
     first_metric = evaluator.metric_at(state0.position, checks=False)

@@ -147,14 +147,30 @@ class SpacetimeModel:
 
 @dataclass(frozen=True, eq=False)
 class MetricAt:
-    """Metric data at one point: components, inverse, first derivatives, and
-    Christoffel symbols Gamma^mu_{nu rho}."""
+    """Metric data at one point: components and first derivatives, with the
+    inverse and the Christoffel symbols Gamma^mu_{nu rho} built on first use
+    of either (one cached solve), so a caller that never reads them pays
+    nothing. Reading either on a singular g raises SingularMetric."""
 
     point: Point
     g: np.ndarray
-    g_inverse: np.ndarray
     first_derivatives: np.ndarray  # dg[lam, mu, nu] = d_lam g_{mu nu}
-    christoffels: np.ndarray
+    #: (g^{-1}, Gamma) once built; charts with constant components pass it in
+    connection: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+
+    def _solved(self):
+        if self.connection is None:
+            object.__setattr__(self, "connection", _inverse_and_christoffels(
+                self.g, self.first_derivatives, self.point.coordinates))
+        return self.connection
+
+    @property
+    def g_inverse(self) -> np.ndarray:
+        return self._solved()[0]
+
+    @property
+    def christoffels(self) -> np.ndarray:
+        return self._solved()[1]
 
 
 class VectorClass(enum.Enum):
@@ -182,9 +198,11 @@ def is_lorentzian(matrix, tol=SIGNATURE_TOL) -> bool:
 class MetricEvaluator:
     """Prepared evaluator for one model; the hot path for integrators.
 
-    Component expressions are compiled to plain-float closures once at
-    preparation time, and constant-component charts (e.g. flat space in
-    Cartesian coordinates) are short-circuited entirely.
+    The unique component expressions are compiled once, at preparation
+    time, into one fused closure returning every value and gradient as a flat
+    tuple, which two precomputed index arrays scatter into g and dg.
+    Constant-component charts (e.g. flat space in Cartesian coordinates) are
+    short-circuited entirely.
     """
 
     def __init__(self, model: SpacetimeModel):
@@ -193,31 +211,34 @@ class MetricEvaluator:
         self.params = dict(model.parameters)
         d = model.dimension
         self.dim = d
-        unique = []  # (ast, [(i, j) slots])
-        seen = {}
+        unique = []
+        seen = {}  # id(ast) -> position in unique
+        slot = np.zeros((d, d), dtype=np.intp)
         for i in range(d):
             for j in range(i, d):
                 node = model.components[i][j]
-                key = id(node)
-                if key in seen:
-                    unique[seen[key]][1].append((i, j))
-                else:
-                    seen[key] = len(unique)
-                    unique.append((node, [(i, j)]))
-        self._compiled = [(ex.compile_jet1(node, self.names, self.params), slots)
-                          for node, slots in unique]
+                if id(node) not in seen:
+                    seen[id(node)] = len(unique)
+                    unique.append(node)
+                slot[i, j] = slot[j, i] = seen[id(node)]
+        self._fused = ex.compile_jets1(unique, self.names, self.params)
+        # the fused tuple holds (value, gradient...) per unique component, so
+        # d_lam of slot (i, j) sits 1 + lam after that component's value
+        self._g_index = slot * (d + 1)
+        self._dg_index = self._g_index[None, :, :] + 1 + np.arange(d)[:, None, None]
         self._loci = [(ex.compile_value(node, self.names, self.params), node)
                       for node in model.singular_loci]
-        self._constant = all(isinstance(node, ex.Num) for node, _ in unique)
+        self._constant = all(isinstance(node, ex.Num) for node in unique)
         self._const_data = None
 
     def guard(self, coords):
         """Raise SingularMetric when within the declared locus guard."""
         for fn, node in self._loci:
             if abs(fn(*coords)) < LOCUS_GUARD:
+                locus = ex.to_source(node)
                 raise SingularMetric(
                     f"point {tuple(coords)} lies on or within {LOCUS_GUARD} of the "
-                    f"singular locus {ex.to_source(node)} = 0 of '{self.name}'")
+                    f"singular locus {locus} = 0 of '{self.name}'", locus=locus)
 
     def locus_values(self, coords):
         """Signed locus-expression values; a sign change between two points
@@ -228,18 +249,12 @@ class MetricEvaluator:
         """(g, dg) with dg[lam, mu, nu] = d_lam g_{mu nu}, by exact jets. A
         DomainError names the model; a non-finite component raises
         SingularMetric. The singular-locus guard is not applied here."""
-        d = self.dim
-        g = np.zeros((d, d))
-        dg = np.zeros((d, d, d))
         try:
-            for fn, slots in self._compiled:
-                value, gradient = fn(*coords)
-                for (i, j) in slots:
-                    g[i, j] = g[j, i] = value
-                    for lam in range(d):
-                        dg[lam, i, j] = dg[lam, j, i] = gradient[lam]
+            flat = np.array(self._fused(*coords))
         except DomainError as exc:
             raise DomainError(f"{exc} [metric of '{self.name}' at {coords}]") from None
+        g = flat[self._g_index]
+        dg = flat[self._dg_index]
         if not np.isfinite(g).all():
             raise SingularMetric(f"non-finite metric component at {coords}")
         return g, dg
@@ -250,8 +265,8 @@ class MetricEvaluator:
             raise ValueError(f"point has {len(coords)} coordinates, chart has {self.dim}")
         self.guard(coords)
         if self._constant and self._const_data is not None:
-            g, dg, ginv, gamma = self._const_data
-            return MetricAt(point, g, ginv, dg, gamma)
+            g, dg, connection = self._const_data
+            return MetricAt(point, g, dg, connection)
         g, dg = self.components(coords)
         if checks or self._constant:
             # one eigendecomposition gives all three checks: for a symmetric g,
@@ -271,10 +286,10 @@ class MetricEvaluator:
             if not np.isfinite(cond) or cond > CONDITION_CAP:
                 raise SingularMetric(f"metric condition estimate {cond:.3e} exceeds "
                                      f"{CONDITION_CAP:.0e} at {coords}")
-        ginv, gamma = _inverse_and_christoffels(g, dg, coords)
         if self._constant:
-            self._const_data = (g, dg, ginv, gamma)
-        return MetricAt(point, g, ginv, dg, gamma)
+            self._const_data = (g, dg, _inverse_and_christoffels(g, dg, coords))
+            return MetricAt(point, g, dg, self._const_data[2])
+        return MetricAt(point, g, dg)
 
 
 def christoffels_from(g_inverse, dg) -> np.ndarray:
@@ -295,6 +310,17 @@ def _inverse_and_christoffels(g, dg, coords):
         raise SingularMetric(f"metric is singular at {coords}") from None
     ginv = 0.5 * (ginv + ginv.T)
     return ginv, christoffels_from(ginv, dg)
+
+
+def geodesic_acceleration(g, dg, v) -> np.ndarray:
+    """-Gamma^mu_{nu rho} v^nu v^rho by one solve with g: with
+    w_s = d_n g_{sr} v^n v^r - 1/2 d_s g_{nr} v^n v^r, the acceleration is
+    -g^{-1} w, and neither g^{-1} nor Gamma is formed."""
+    dv = dg @ v  # dv[lam, mu] = d_lam g_{mu nu} v^nu
+    try:
+        return -np.linalg.solve(g, v @ dv - 0.5 * (dv @ v))
+    except np.linalg.LinAlgError:
+        raise SingularMetric("metric is singular; no geodesic acceleration") from None
 
 
 def covariant_hessian_from(gradient, hessian, christoffels) -> np.ndarray:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from stconvex.errors import DomainError, ParseError, UnknownSymbol
 from stconvex.expressions import (FUNCTIONS, BinOp, Call, Neg, Num, Sym, _cached_code,
-                                  compile_jet1, compile_value, eval_jet1, eval_jet2,
-                                  eval_value, parse, to_source)
+                                  compile_jet1, compile_jets1, compile_value, eval_jet1,
+                                  eval_jet2, eval_value, parse, to_source)
 
 from conftest import fd_gradient, fd_hessian
 
@@ -426,6 +426,23 @@ def test_compile_shares_the_evaluator_cache():
     assert eval_jet1(ast, ("r",), (4.0,), {"M": 1.0}).gradient == first(4.0)[1]
     info = _cached_code.cache_info()
     assert (info.misses, info.hits) == (3, 2)
+
+
+def test_fused_jets_bit_identical_and_name_the_failing_expression():
+    """compile_jets1 returns each expression's value and gradient in order,
+    bit-identical to compile_jet1, and a DomainError names the expression
+    that failed, not the first one."""
+    texts = ("x*sin(y) + M", "2", "log(y)", "x/(1 + y^2)")
+    asts = [parse(t, ("x", "y", "M")) for t in texts]
+    fused = compile_jets1(asts, XY, {"M": 0.5})
+    flat = fused(0.7, 1.3)
+    assert len(flat) == 3 * len(asts)
+    for k, ast in enumerate(asts):
+        value, gradient = compile_jet1(ast, XY, {"M": 0.5})(0.7, 1.3)
+        assert flat[3 * k:3 * k + 3] == (value, *gradient)
+    with pytest.raises(DomainError, match=r"'log\(y\)' at \(0\.7, -1\.0\)"):
+        fused(0.7, -1.0)
+    assert compile_jets1([parse(t, ("x", "y", "M")) for t in texts], XY, {"M": 0.5}) is fused
 
 
 def test_compiled_code_cache_is_bounded():

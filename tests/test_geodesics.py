@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from stconvex import (CurveSpec, NotClosed, StepSizeInvalid, VectorClass,
-                      builtin_models, canonical_field, closed_curve_probe,
-                      convexity_along_curve, integrate_geodesic)
+from stconvex import (CurveSpec, NotClosed, SingularMetric, SpacetimeModel,
+                      StepSizeInvalid, VectorClass, builtin_models, canonical_field,
+                      closed_curve_probe, convexity_along_curve, covariant_hessian,
+                      eval_metric, integrate_geodesic)
 from stconvex.geodesics import GeodesicState
 
 CAT = builtin_models()
@@ -75,6 +76,50 @@ def test_infalling_trajectory_truncates_at_horizon_guard():
     assert trajectory.samples  # partial trajectory is returned
 
 
+def radial_plunge(r0=3.5, energy=1.1, step=0.01):
+    """Radial infall from r0 with conserved energy E = (1 - 2/r) v^t."""
+    a = 1.0 - 2.0 / r0
+    state = GeodesicState.of((0.0, r0, math.pi / 2.0, 0.0),
+                             (energy / a, -math.sqrt(energy ** 2 - a), 0.0, 0.0))
+    return integrate_geodesic(SCHW, state, (0.0, 20.0), step=step)
+
+
+def test_radial_plunge_truncates_at_horizon():
+    """Stage points are checked against the step start's locus signs: the
+    step end alone lets an RK4 stage cross r = 2M and fling the curve out."""
+    trajectory = radial_plunge()
+    assert trajectory.truncated
+    assert "r - 2.0*M" in trajectory.truncation_reason
+    radii = [s.position.coordinates[1] for _, s in trajectory.samples]
+    assert min(radii) > 2.0
+    assert radii[-1] - 2.0 < 0.01 * 1.1  # within one step of dr/dlam ~ -E
+
+
+def test_truncation_fields_on_plunge_and_pole_crossing():
+    plunge = radial_plunge()
+    assert plunge.truncation_locus == "r - 2.0*M"
+    assert plunge.truncation_lambda == plunge.samples[-1][0]
+    state = GeodesicState.of((0.0, 8.0, 0.05, 0.0), (1.2, 0.0, -0.1, 0.0))
+    pole = integrate_geodesic(SCHW, state, (0.0, 2.0), step=0.02)
+    assert pole.truncated and "sin(theta)" in pole.truncation_reason
+    assert pole.truncation_locus == "sin(theta)"
+    assert pole.truncation_lambda == pole.samples[-1][0]
+    assert 0.0 < pole.samples[-1][1].position.coordinates[2] < 0.1 * 0.02 * 1.05
+    whole = integrate_geodesic(SCHW, state, (0.0, 0.1), step=0.02)
+    assert not whole.truncated
+    assert whole.truncation_lambda is None and whole.truncation_locus == ""
+
+
+def test_truncation_by_other_error_names_no_locus():
+    singular = SpacetimeModel.from_components(
+        name="singular-later", coordinate_names=("t", "x"),
+        components={(0, 0): "-1", (1, 1): "x - x*x"})
+    state = GeodesicState.of((0.0, 0.5), (0.0, 1.0))
+    trajectory = integrate_geodesic(singular, state, (0.0, 1.0), step=0.05)
+    assert trajectory.truncated and trajectory.truncation_locus == ""
+    assert trajectory.truncation_lambda == trajectory.samples[-1][0]
+
+
 def test_circular_orbit_maintained_one_period():
     state, u_t, psi_dot = circular_orbit_state()
     period = TWO_PI / psi_dot
@@ -133,6 +178,20 @@ def test_chain_rule_identity_along_geodesic():
         assert second_difference == pytest.approx(report.margins[i], abs=1e-5)
 
 
+def test_margin_matches_covariant_hessian():
+    """The a . df form of the margin equals v . nabla nabla f . v - c g(v, v)."""
+    f = SCHW.field("0.5*r^2 + sin(theta)*t")
+    state, _, _ = circular_orbit_state(r=7.0, inclination=0.4)
+    trajectory = integrate_geodesic(SCHW, state, (0.0, 5.0), step=0.1)
+    report = convexity_along_curve(f, trajectory, c=0.3)
+    for margin, (_, s) in zip(report.margins, trajectory.samples):
+        hess = covariant_hessian(f, SCHW, s.position)
+        vel = s.velocity.array()
+        g = eval_metric(SCHW, s.position).g
+        expected = float(vel @ hess @ vel - 0.3 * (vel @ g @ vel))
+        assert margin == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+
 def test_margin_spacelike_line():
     state = GeodesicState.of((0.0, 0.2, -0.4, 0.1), (0.0, 1.0, 0.0, 0.0))
     trajectory = integrate_geodesic(MINK, state, (0.0, 1.0), step=0.05)
@@ -178,6 +237,17 @@ def test_closed_circle_probe():
     assert report.min_margin == pytest.approx(-4.0 * math.pi ** 2, rel=1e-9)
     # the pointwise Hessian margin itself is fine: the obstruction is global
     assert report.min_hessian_margin == pytest.approx(0.0, abs=1e-9)
+
+
+def test_closed_curve_on_singular_metric_raises():
+    """The connection is built on first use, inside the probe, which still
+    raises SingularMetric as the eager build did."""
+    degenerate = SpacetimeModel.from_components(
+        name="degenerate-flat", coordinate_names=("t", "x", "y", "z"),
+        components={(0, 0): "-1", (1, 1): "1", (2, 2): "1", (3, 3): "0*x"})
+    curve = CurveSpec.from_texts(("0", f"cos({TWO_PI!r}*s)", f"sin({TWO_PI!r}*s)", "0"))
+    with pytest.raises(SingularMetric):
+        closed_curve_probe(canonical_field(1.0), degenerate, curve, c=1.0, n_samples=8)
 
 
 def test_open_curve_rejected():

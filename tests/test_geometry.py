@@ -11,8 +11,9 @@ from stconvex import (NullGradient, Point, SingularMetric, TangentVector,
                       classify_vector, covariant_hessian, eval_metric,
                       gradient_invariant)
 from stconvex.expressions import eval_jet2
-from stconvex import geometry
-from stconvex.geometry import SpacetimeModel
+from stconvex import DomainError, geometry
+from stconvex.expressions import compile_jet1
+from stconvex.geometry import SpacetimeModel, christoffels_from, geodesic_acceleration
 
 from conftest import (fd_christoffels, fd_gradient, fd_hessian,
                       fd_metric_derivatives, random_point_in,
@@ -268,3 +269,82 @@ def test_evaluator_cache_frees_dropped_models():
     del models, model
     gc.collect()
     assert len(geometry._EVALUATORS) == before
+
+
+# --------------------------------------------------------------------------
+# geodesic acceleration, fused components, lazy connection
+# --------------------------------------------------------------------------
+
+#: a chart with off-diagonal components, so the fused scatter is exercised
+#: beyond the diagonal catalog charts
+TILTED = SpacetimeModel.from_components(
+    name="tilted", coordinate_names=("t", "x", "y", "z"),
+    components={(0, 0): "-(2 + 0.3*sin(t + x))", (1, 1): "2 + 0.3*cos(x*y)",
+                (2, 2): "2 + 0.3*exp(0.1*z)", (3, 3): "2", (0, 1): "0.1*sin(y)",
+                (1, 2): "0.1*cos(t*z)", (2, 3): "0.1*x"},
+    sample_box=((-1.0, 1.0),) * 4)
+
+
+def test_geodesic_acceleration_matches_christoffels(rng):
+    for model in ALL_MODELS + (TILTED,):
+        evaluator = geometry.evaluator_for(model)
+        for _ in range(5):
+            g, dg = evaluator.components(random_point_in(model.sample_box, rng))
+            v = rng.normal(size=4)
+            expected = -np.einsum("mnr,n,r->m", christoffels_from(np.linalg.inv(g), dg), v, v)
+            got = geodesic_acceleration(g, dg, v)
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_geodesic_acceleration_singular_metric():
+    with pytest.raises(SingularMetric):
+        geodesic_acceleration(np.diag([-1.0, 0.0]), np.zeros((2, 2, 2)), np.ones(2))
+
+
+def test_fused_components_bit_identical_to_per_slot_compile(rng):
+    for model in ALL_MODELS + (TILTED,):
+        evaluator = geometry.evaluator_for(model)
+        names, params = model.coordinate_names, model.parameters
+        for _ in range(5):
+            coords = random_point_in(model.sample_box, rng)
+            g, dg = evaluator.components(coords)
+            for i in range(4):
+                for j in range(4):
+                    value, gradient = compile_jet1(model.components[i][j], names,
+                                                   params)(*coords)
+                    assert g[i, j] == value
+                    assert dg[:, i, j].tolist() == list(gradient)
+
+
+def test_fused_components_domain_error_names_model_and_point():
+    model = SpacetimeModel.from_components(
+        name="log-chart", coordinate_names=("t", "x", "y", "z"),
+        components={(0, 0): "-1", (1, 1): "1 + x^2", (2, 2): "log(y)", (3, 3): "1"})
+    coords = (0.0, 0.5, -1.0, 0.0)
+    with pytest.raises(DomainError) as info:
+        geometry.evaluator_for(model).components(coords)
+    message = str(info.value)
+    assert "'log(y)'" in message and "1 + x" not in message
+    assert "'log-chart'" in message and str(coords) in message
+
+
+SINGULAR_TX = SpacetimeModel.from_components(
+    name="singular-tx", coordinate_names=("t", "x"),
+    components={(0, 0): "-1", (1, 1): "0*x"})
+
+
+def test_unchecked_metric_at_defers_the_singular_solve():
+    m = geometry.evaluator_for(SINGULAR_TX).metric_at(Point((0.0, 1.0)), checks=False)
+    assert m.g[1, 1] == 0.0
+    for _ in range(2):  # an error is not cached as a result
+        with pytest.raises(SingularMetric, match="metric is singular"):
+            m.g_inverse
+        with pytest.raises(SingularMetric, match="metric is singular"):
+            m.christoffels
+
+
+def test_connection_built_once_and_shared():
+    m = eval_metric(SCHW, Point((0.0, 3.7, 0.9, 2.0)))
+    assert m.connection is None
+    gamma = m.christoffels
+    assert m.g_inverse is m.connection[0] and m.christoffels is gamma
