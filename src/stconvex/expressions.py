@@ -26,14 +26,16 @@ is compiled. All six entry points (`compile_jet1`, `compile_jets1`,
 `compile_value`, `eval_jet2`, `eval_jet1`, `eval_value`) take that code from
 one bounded LRU cache keyed by the order, the AST (or, for the fused
 `compile_jets1`, the tuple of ASTs), the coordinate names and the values of
-the parameters the ASTs reference.
+the parameters the ASTs reference. Each AST node computes its hash and its
+symbol set once, on first use, so the key costs O(1) per call rather than a
+walk of the tree.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,48 +48,71 @@ FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt", 
 # AST
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
+class _Node:
+    """Base of the frozen AST nodes, which compare by value. A node keeps its
+    hash and its symbol set, computed on first use, in two slots that pickles
+    leave out, since str hashes differ between processes."""
+
+    __slots__ = ("_hash", "_symbols")
+
+    def __hash__(self):
+        cached = getattr(self, "_hash", None)
+        if cached is None:
+            cached = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+
+@dataclass(frozen=True, slots=True)
+class Num(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Sym:
+@dataclass(frozen=True, slots=True)
+class Sym(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, slots=True)
+class Neg(_Node):
     child: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+@dataclass(frozen=True, slots=True)
+class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, slots=True)
+class Call(_Node):
     func: str
     arg: "Expr"
 
+
+# dataclass would give each class a field-tuple hash that walks the tree
+for _cls in (Num, Sym, Neg, BinOp, Call):
+    _cls.__hash__ = _Node.__hash__
 
 Expr = Num | Sym | Neg | BinOp | Call
 
 
 def symbols_in(ast) -> frozenset[str]:
-    """Names of all symbols referenced by the expression."""
-    if isinstance(ast, Sym):
-        return frozenset((ast.name,))
-    if isinstance(ast, Neg):
-        return symbols_in(ast.child)
-    if isinstance(ast, BinOp):
-        return symbols_in(ast.left) | symbols_in(ast.right)
-    if isinstance(ast, Call):
-        return symbols_in(ast.arg)
-    return frozenset()
+    """Names of all symbols referenced by the expression, computed once for
+    each node it is called on (the subtrees it walks keep none)."""
+    cached = getattr(ast, "_symbols", None)
+    if cached is None:
+        names, stack = set(), [ast]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Sym):
+                names.add(node.name)
+            elif isinstance(node, _Node):
+                stack.extend(getattr(node, f.name) for f in fields(node))
+        cached = frozenset(names)
+        object.__setattr__(ast, "_symbols", cached)
+    return cached
 
 
 # --------------------------------------------------------------------------

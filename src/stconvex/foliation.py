@@ -54,37 +54,35 @@ def level_set_frame(f: ex.ScalarField, model: SpacetimeModel, p: Point,
     basis = _tangent_basis(metric_at.g, n)
     return LevelSetFrame(
         point=p, epsilon=eps, norm=norm,
-        unit_normal=TangentVector(tuple(n), p),
-        tangent_basis=tuple(TangentVector(tuple(b), p) for b in basis),
+        unit_normal=TangentVector(n.tolist(), p),
+        tangent_basis=tuple(TangentVector(b, p) for b in basis.tolist()),
     )
 
 
 def _tangent_basis(g, n):
-    """Greedy Gram-Schmidt against the normal: at each step take the
-    coordinate seed with the largest |g-rejection norm| (index order breaks
-    ties), so the basis is deterministic."""
+    """Greedy Gram-Schmidt against the normal on all coordinate seeds at once,
+    as the rows of one matrix with their n-components removed in one step.
+    Each step takes the remaining row with the largest |g-rejection norm| (the
+    first of equals wins, so the basis is deterministic) and removes the new
+    vector from every row. Returns the basis as the rows of a (d - 1, d) array."""
     d = g.shape[0]
-    gnn = float(n @ g @ n)
-    accepted = []
+    gn = g @ n
+    rows = np.eye(d) - np.multiply.outer(gn / float(n @ gn), n)
     remaining = list(range(d))
-    for _ in range(d - 1):
-        best = None
-        for k in remaining:
-            v = np.zeros(d)
-            v[k] = 1.0
-            v = v - (float(v @ g @ n) / gnn) * n
-            for b in accepted:
-                v = v - float(v @ g @ b) * math.copysign(1.0, float(b @ g @ b)) * b
-            w2 = float(v @ g @ v)
-            if best is None or abs(w2) > abs(best[2]):
-                best = (k, v, w2)
-        k, v, w2 = best
-        if abs(w2) < BASIS_TOL:
+    basis = np.empty((d - 1, d))
+    for step in range(d - 1):
+        rows_g = rows @ g
+        w2 = np.einsum("ij,ij->i", rows_g, rows).tolist()
+        k = max(remaining, key=lambda i: abs(w2[i]))
+        if abs(w2[k]) < BASIS_TOL:
             raise WrongSignature("could not build a non-null tangent basis from "
                                  "coordinate seeds at this point")
-        accepted.append(v / math.sqrt(abs(w2)))
         remaining.remove(k)
-    return accepted
+        b = basis[step] = rows[k] / math.sqrt(abs(w2[k]))
+        if step < d - 2:
+            # r -> r - g(r, b) g(b, b) b, where g(b, b) is the sign of w2
+            rows -= np.multiply.outer((rows_g @ b) * math.copysign(1.0, w2[k]), b)
+    return basis
 
 
 def second_fundamental_form(f: ex.ScalarField, model: SpacetimeModel, p: Point,

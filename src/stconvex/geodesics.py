@@ -100,13 +100,15 @@ def integrate_geodesic(model: SpacetimeModel, s0: GeodesicState,
         raise ValueError("initial state dimension does not match the chart")
 
     def same_side(coords, start, lam):
-        """Locus values at coords; raises if a sign differs from start's."""
+        """Locus values at coords; raises if a sign differs from start's, naming
+        the locus crossed first from start, by the linear fraction a / (a - b)."""
         values = evaluator.locus_values(coords)
-        for node, a, b in zip(model.singular_loci, start, values):
-            if a * b < 0.0:
-                locus = ex.to_source(node)
-                raise SingularMetric(f"step from lambda = {lam} crossed the singular "
-                                     f"locus {locus} = 0", locus=locus)
+        crossed = [(a / (a - b), node) for node, a, b in zip(model.singular_loci, start, values)
+                   if a * b < 0.0]
+        if crossed:
+            locus = ex.to_source(min(crossed, key=lambda c: c[0])[1])
+            raise SingularMetric(f"step from lambda = {lam} crossed the singular "
+                                 f"locus {locus} = 0", locus=locus)
         return values
 
     def acceleration(coords, vel, start, lam):

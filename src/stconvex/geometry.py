@@ -12,6 +12,7 @@ concurrently over disjoint points.
 from __future__ import annotations
 
 import enum
+import math
 import weakref
 from dataclasses import dataclass, field, replace
 
@@ -180,13 +181,13 @@ class VectorClass(enum.Enum):
 
 
 def _signature_counts(matrix, tol=SIGNATURE_TOL):
-    return _sign_counts(np.linalg.eigvalsh(matrix), tol)
+    return _sign_counts(np.linalg.eigvalsh(matrix).tolist(), tol)
 
 
 def _sign_counts(eigenvalues, tol=SIGNATURE_TOL):
-    """(negative, zero, positive) eigenvalue counts, zero meaning |lambda| <= tol."""
-    negative = int(np.sum(eigenvalues < -tol))
-    zero = int(np.sum(np.abs(eigenvalues) <= tol))
+    """(negative, zero, positive) counts of float eigenvalues, zero meaning |lambda| <= tol."""
+    negative = sum(e < -tol for e in eigenvalues)
+    zero = sum(abs(e) <= tol for e in eigenvalues)
     return negative, zero, len(eigenvalues) - negative - zero
 
 
@@ -272,8 +273,8 @@ class MetricEvaluator:
             # one eigendecomposition gives all three checks: for a symmetric g,
             # det is the product of the eigenvalues and the 2-norm condition
             # number is max |lambda| / min |lambda|
-            eigenvalues = np.linalg.eigvalsh(g)
-            det = np.prod(eigenvalues)
+            eigenvalues = np.linalg.eigvalsh(g).tolist()
+            det = math.prod(eigenvalues)
             if abs(det) < DET_TOL:
                 raise SingularMetric(f"|det g| = {abs(det):.3e} below tolerance at {coords}")
             negative, zero, positive = _sign_counts(eigenvalues)
@@ -281,9 +282,9 @@ class MetricEvaluator:
                 raise WrongSignature(
                     f"metric signature ({negative} negative, {zero} zero, {positive} positive) "
                     f"is not Lorentzian at {coords}")
-            magnitudes = np.abs(eigenvalues)
-            cond = magnitudes.max() / magnitudes.min()
-            if not np.isfinite(cond) or cond > CONDITION_CAP:
+            magnitudes = [abs(e) for e in eigenvalues]
+            cond = max(magnitudes) / min(magnitudes)
+            if not math.isfinite(cond) or cond > CONDITION_CAP:
                 raise SingularMetric(f"metric condition estimate {cond:.3e} exceeds "
                                      f"{CONDITION_CAP:.0e} at {coords}")
         if self._constant:
@@ -294,18 +295,19 @@ class MetricEvaluator:
 
 def christoffels_from(g_inverse, dg) -> np.ndarray:
     """Gamma^mu_{nu rho} = 1/2 g^{mu sig}(d_nu g_{sig rho} + d_rho g_{sig nu}
-    - d_sig g_{nu rho}); exactly symmetric in (nu, rho) because dg is."""
-    term1 = np.einsum("ms,nsr->mnr", g_inverse, dg)
-    term2 = np.einsum("ms,rsn->mnr", g_inverse, dg)
-    term3 = np.einsum("ms,snr->mnr", g_inverse, dg)
-    return 0.5 * (term1 + term2 - term3)
+    - d_sig g_{nu rho}) as one product of g^{-1} with the permuted sums, reshaped
+    to (d, d^2); exactly symmetric in (nu, rho) because the sums are, as dg is."""
+    d = g_inverse.shape[0]
+    lowered = dg.transpose(1, 0, 2)  # lowered[sig, nu, rho] = d_nu g_{sig rho}
+    sums = lowered + lowered.transpose(0, 2, 1) - dg
+    return (0.5 * (g_inverse @ sums.reshape(d, d * d))).reshape(d, d, d)
 
 
 def _inverse_and_christoffels(g, dg, coords):
-    """(g^{-1}, Gamma) by a direct solve; the inverse is symmetrized so the
-    connection stays symmetric to the bit."""
+    """(g^{-1}, Gamma) by LU with partial pivoting; the inverse is symmetrized
+    so the connection stays symmetric to the bit."""
     try:
-        ginv = np.linalg.solve(g, np.eye(g.shape[0]))
+        ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError:
         raise SingularMetric(f"metric is singular at {coords}") from None
     ginv = 0.5 * (ginv + ginv.T)

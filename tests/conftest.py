@@ -70,6 +70,15 @@ def random_point_in(box, rng):
     return tuple(rng.uniform(lo, hi) for lo, hi in box)
 
 
+def random_lorentzian(rng, d):
+    """A non-diagonal Lorentzian metric: a random rotation of one negative and
+    d - 1 positive eigenvalues, all of magnitude in [0.5, 2]."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    spectrum = np.concatenate(([-rng.uniform(0.5, 2.0)], rng.uniform(0.5, 2.0, d - 1)))
+    g = q @ np.diag(spectrum) @ q.T
+    return 0.5 * (g + g.T)
+
+
 def spherical_to_cartesian(p):
     """Chart map (t, r, theta, phi) -> (t, x, y, z) and its Jacobian."""
     t, r, theta, phi = p

@@ -1,6 +1,12 @@
 """Parser, printer, and jet tests for the expression DSL."""
 
+import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +16,12 @@ from hypothesis import strategies as st
 from stconvex.errors import DomainError, ParseError, UnknownSymbol
 from stconvex.expressions import (FUNCTIONS, BinOp, Call, Neg, Num, Sym, _cached_code,
                                   compile_jet1, compile_jets1, compile_value, eval_jet1,
-                                  eval_jet2, eval_value, parse, to_source)
+                                  eval_jet2, eval_value, parse, symbols_in, to_source)
 
 from conftest import fd_gradient, fd_hessian
 
 XY = ("x", "y")
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 # --------------------------------------------------------------------------
@@ -443,6 +450,61 @@ def test_fused_jets_bit_identical_and_name_the_failing_expression():
     with pytest.raises(DomainError, match=r"'log\(y\)' at \(0\.7, -1\.0\)"):
         fused(0.7, -1.0)
     assert compile_jets1([parse(t, ("x", "y", "M")) for t in texts], XY, {"M": 0.5}) is fused
+
+
+_CACHED_TEXT = "2*M/r - 1 + sin(theta)^2*exp(-r)"
+_CACHED_NAMES = ("r", "theta", "M")
+
+
+def test_reparsed_nodes_hash_equal_and_share_code():
+    """Each node caches its hash on first use; equal re-parses still hash
+    equal and share one compiled function, and values still distinguish."""
+    first = parse(_CACHED_TEXT, _CACHED_NAMES)
+    hash(first)
+    second = parse(_CACHED_TEXT, _CACHED_NAMES)
+    assert first == second and hash(first) == hash(second)
+    assert compile_jet1(first, ("r", "theta"), {"M": 1.0}) is \
+        compile_jet1(second, ("r", "theta"), {"M": 1.0})
+    assert Num(1.0) != Num(2.0)
+    assert symbols_in(first) == {"r", "theta", "M"}
+    assert symbols_in(first) is symbols_in(first)
+
+
+def test_nodes_stay_frozen():
+    node = parse(_CACHED_TEXT, _CACHED_NAMES)
+    hash(node)
+    for target, name in ((node, "left"), (Num(1.0), "value"), (Sym("r"), "name")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(target, name, Num(0.0))
+
+
+def test_replaced_and_unpickled_nodes_match_a_fresh_parse():
+    node = parse(_CACHED_TEXT, _CACHED_NAMES)
+    hash(node)
+    symbols_in(node)
+    fresh = parse(_CACHED_TEXT, _CACHED_NAMES)
+    copies = (dataclasses.replace(node), pickle.loads(pickle.dumps(node)))
+    for copy in copies:
+        assert copy == fresh and hash(copy) == hash(fresh)
+        assert symbols_in(copy) == symbols_in(fresh)
+    changed = dataclasses.replace(node, op="-")
+    assert changed != fresh and hash(changed) == hash(parse(to_source(changed), _CACHED_NAMES))
+
+
+def test_cached_hash_does_not_outlive_its_process():
+    """A node pickled in a process with another str-hash seed hashes like a
+    node parsed here: the cached hash is not part of the pickle."""
+    script = ("import pickle, sys; from stconvex.expressions import parse; "
+              f"node = parse({_CACHED_TEXT!r}, {_CACHED_NAMES!r}); hash(node); "
+              "sys.stdout.buffer.write(pickle.dumps(node))")
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    data = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          check=True, timeout=60).stdout
+    node = pickle.loads(data)
+    fresh = parse(_CACHED_TEXT, _CACHED_NAMES)
+    assert node == fresh and hash(node) == hash(fresh)
+    assert {node: 1}[fresh] == 1
 
 
 def test_compiled_code_cache_is_bounded():

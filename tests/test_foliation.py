@@ -12,7 +12,9 @@ from stconvex import (NonSpacelikeSlice, NotBlockForm, NullGradient,
                       schwarzschild_trk, second_fundamental_form, slice_laplacian,
                       slice_restricted_hessian)
 
-from conftest import random_point_in
+from stconvex.foliation import BASIS_TOL, _tangent_basis
+
+from conftest import random_lorentzian, random_point_in
 
 CAT = builtin_models()
 MINK = CAT.model("minkowski-cartesian")
@@ -39,6 +41,69 @@ def test_frame_orientation_and_normalization(rng):
         for b in frame.tangent_basis:
             assert abs(float(b.array() @ g @ n)) < 1e-10
             assert abs(abs(float(b.array() @ g @ b.array())) - 1.0) < 1e-12
+
+
+def greedy_loop_basis(g, n):
+    """The per-seed Gram-Schmidt loop, kept as the reference for
+    _tangent_basis: (basis rows, seed order)."""
+    d = g.shape[0]
+    gnn = float(n @ g @ n)
+    accepted, order = [], []
+    remaining = list(range(d))
+    for _ in range(d - 1):
+        best = None
+        for k in remaining:
+            v = np.zeros(d)
+            v[k] = 1.0
+            v = v - (float(v @ g @ n) / gnn) * n
+            for b in accepted:
+                v = v - float(v @ g @ b) * math.copysign(1.0, float(b @ g @ b)) * b
+            w2 = float(v @ g @ v)
+            if best is None or abs(w2) > abs(best[2]):
+                best = (k, v, w2)
+        k, v, w2 = best
+        assert abs(w2) >= BASIS_TOL
+        accepted.append(v / math.sqrt(abs(w2)))
+        order.append(k)
+        remaining.remove(k)
+    return np.array(accepted), order
+
+
+@pytest.mark.parametrize("causal", [-1, 1])
+def test_tangent_basis_matches_greedy_loop(rng, causal):
+    """Non-diagonal Lorentzian g with a timelike (-1) or spacelike (+1) unit
+    normal: the same basis as the loop, so the same seed order, g-orthonormal
+    and g-orthogonal to n."""
+    orders = set()
+    for d in (3, 4, 5):
+        for _ in range(40):
+            g = random_lorentzian(rng, d)
+            while True:
+                n = rng.normal(size=d)
+                q = float(n @ g @ n)
+                if causal * q > 0.2 * float(n @ n):
+                    break
+            n = n / math.sqrt(abs(q))
+            basis = _tangent_basis(g, n)
+            expected, order = greedy_loop_basis(g, n)
+            assert np.abs(basis - expected).max() <= 1e-12
+            gram = basis @ g @ basis.T
+            assert np.abs(gram - np.diag(np.sign(np.diag(gram)))).max() < 1e-12
+            assert np.abs(basis @ g @ n).max() < 1e-12
+            orders.add(tuple(order))
+    assert len(orders) > 10  # the greedy choice, not index order, picks the seeds
+
+
+def test_tangent_basis_ties_go_to_the_first_seed():
+    mink = np.diag([-1.0, 1.0, 1.0, 1.0])
+    e = np.eye(4)
+    cases = ((mink, e[0], e[[1, 2, 3]]),
+             (mink, e[1], e[[0, 2, 3]]),
+             (np.diag([-2.0, 1.0, 3.0, 3.0]), e[0] / math.sqrt(2.0),
+              np.array([e[2] / math.sqrt(3.0), e[3] / math.sqrt(3.0), e[1]])))
+    for g, n, expected in cases:
+        assert np.array_equal(_tangent_basis(g, n), expected)
+        assert np.array_equal(greedy_loop_basis(g, n)[0], expected)
 
 
 def test_frame_spacelike_gradient():

@@ -110,6 +110,17 @@ def test_truncation_fields_on_plunge_and_pole_crossing():
     assert whole.truncation_lambda is None and whole.truncation_locus == ""
 
 
+def test_step_crossing_two_loci_names_the_one_crossed_first():
+    """From r = 2.5 with E = 1 and step 10, the first stage point lies at
+    r < 0: the segment crosses r = 2M before r = 0, so the horizon is named,
+    not the first declared locus."""
+    plunge = radial_plunge(r0=2.5, energy=1.0, step=10.0)
+    assert plunge.truncated and plunge.truncation_lambda == 0.0
+    assert plunge.truncation_locus == "r - 2.0*M"
+    assert plunge.truncation_reason == ("step from lambda = 0.0 crossed the singular "
+                                        "locus r - 2.0*M = 0")
+
+
 def test_truncation_by_other_error_names_no_locus():
     singular = SpacetimeModel.from_components(
         name="singular-later", coordinate_names=("t", "x"),

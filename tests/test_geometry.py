@@ -16,7 +16,7 @@ from stconvex.expressions import compile_jet1
 from stconvex.geometry import SpacetimeModel, christoffels_from, geodesic_acceleration
 
 from conftest import (fd_christoffels, fd_gradient, fd_hessian,
-                      fd_metric_derivatives, random_point_in,
+                      fd_metric_derivatives, random_lorentzian, random_point_in,
                       spherical_to_cartesian, value_fn)
 
 CAT = builtin_models()
@@ -114,6 +114,50 @@ def test_christoffels_symmetric_on_fuzzed_metrics(rng):
             p = Point(rng.uniform(-2.0, 2.0, 4))
             gamma = eval_metric(model, p).christoffels
             assert np.array_equal(gamma, gamma.transpose(0, 2, 1))
+
+
+def einsum_christoffels(g_inverse, dg):
+    """The three-einsum formula, kept as the reference for christoffels_from."""
+    term1 = np.einsum("ms,nsr->mnr", g_inverse, dg)
+    term2 = np.einsum("ms,rsn->mnr", g_inverse, dg)
+    term3 = np.einsum("ms,snr->mnr", g_inverse, dg)
+    return 0.5 * (term1 + term2 - term3)
+
+
+def test_christoffels_from_matches_einsum_reference(rng):
+    """On non-diagonal Lorentzian g and random symmetric dg, unlike every
+    catalog chart."""
+    for d in (2, 3, 4, 5):
+        for _ in range(50):
+            g = random_lorentzian(rng, d)
+            dg = rng.normal(size=(d, d, d))
+            dg = dg + dg.transpose(0, 2, 1)
+            ginv, gamma = geometry._inverse_and_christoffels(g, dg, ())
+            expected = einsum_christoffels(ginv, dg)
+            assert np.abs(gamma - expected).max() <= 1e-13 * np.abs(expected).max()
+            assert np.array_equal(gamma, gamma.transpose(0, 2, 1))
+            assert np.abs(g @ ginv - np.eye(d)).max() < 1e-12
+
+
+def numpy_sign_counts(eigenvalues, tol):
+    """The array version of _sign_counts, kept as its reference."""
+    eigenvalues = np.asarray(eigenvalues)
+    negative = int(np.sum(eigenvalues < -tol))
+    zero = int(np.sum(np.abs(eigenvalues) <= tol))
+    return negative, zero, len(eigenvalues) - negative - zero
+
+
+@pytest.mark.parametrize("tol", [geometry.SIGNATURE_TOL, 1e-3])
+def test_sign_counts_match_the_array_version(rng, tol):
+    edges = [tol, -tol, 0.0, -0.0, np.nextafter(tol, 1.0), np.nextafter(tol, 0.0),
+             np.nextafter(-tol, -1.0), np.nextafter(-tol, 0.0)]
+    for _ in range(300):
+        pool = np.concatenate((edges, rng.normal(scale=10.0 * tol, size=4),
+                               rng.normal(size=2)))
+        values = rng.choice(pool, size=int(rng.integers(1, 7)))
+        counts = geometry._sign_counts(values.tolist(), tol)
+        assert counts == numpy_sign_counts(values, tol)
+        assert all(type(c) is int for c in counts)
 
 
 def test_metric_compatibility(rng):
