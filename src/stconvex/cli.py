@@ -86,11 +86,31 @@ def _fmt(x) -> str:
 # --------------------------------------------------------------------------
 
 class ConfigValue:
-    __slots__ = ("items", "line")
+    """A key's items and line; every conversion error names both."""
 
-    def __init__(self, items, line):
+    __slots__ = ("items", "key", "line")
+
+    def __init__(self, items, key, line):
         self.items = items  # list of ("expr" | "token", text)
+        self.key = key
         self.line = line
+
+    def single(self) -> str:
+        if len(self.items) != 1:
+            raise ConfigError(f"'{self.key}' expects a single value", self.line)
+        return self.items[0][1]
+
+    def number(self) -> float:
+        return self._float(self.single())
+
+    def numbers(self) -> list[float]:
+        return [self._float(text) for _, text in self.items]
+
+    def _float(self, text) -> float:
+        try:
+            return float(text)
+        except ValueError:
+            raise ConfigError(f"non-number {text!r} in '{self.key}'", self.line) from None
 
 
 def _split_value(text, lineno):
@@ -163,7 +183,7 @@ class Config:
                 raise ConfigError("empty key", lineno)
             if key in sections[current]:
                 raise ConfigError(f"duplicate key '{key}'", lineno)
-            sections[current][key] = ConfigValue(_split_value(value, lineno), lineno)
+            sections[current][key] = ConfigValue(_split_value(value, lineno), key, lineno)
         return cls(sections)
 
     @classmethod
@@ -190,31 +210,14 @@ class Config:
 
     def scalar(self, section, key, default=_REQUIRED) -> str:
         v = self.value(section, key, default)
-        if v is default and v is not _REQUIRED and not isinstance(v, ConfigValue):
-            return v
-        if len(v.items) != 1:
-            raise ConfigError(f"'{key}' expects a single value", v.line)
-        return v.items[0][1]
+        return v.single() if isinstance(v, ConfigValue) else v
 
     def number(self, section, key, default=_REQUIRED) -> float:
-        raw = self.scalar(section, key, default)
-        if not isinstance(raw, str):
-            return raw
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"'{key}' is not a number: {raw!r}",
-                              self.value(section, key).line) from None
+        v = self.value(section, key, default)
+        return v.number() if isinstance(v, ConfigValue) else v
 
     def numbers(self, section, key) -> list[float]:
-        v = self.value(section, key)
-        out = []
-        for _, text in v.items:
-            try:
-                out.append(float(text))
-            except ValueError:
-                raise ConfigError(f"'{key}' contains a non-number: {text!r}", v.line) from None
-        return out
+        return self.value(section, key).numbers()
 
     def flag(self, section, key, default=False) -> bool:
         raw = self.scalar(section, key, None)
@@ -245,8 +248,7 @@ def resolve_model(cfg: Config) -> SpacetimeModel:
     sec = cfg.section("model")
     if not sec:
         raise ConfigError("missing [model] section")
-    overrides = {name: float(v.items[0][1])
-                 for name, v in cfg.bracketed("model", "param").items()}
+    overrides = {name: v.number() for name, v in cfg.bracketed("model", "param").items()}
     if cfg.has("model", "builtin"):
         name = cfg.scalar("model", "builtin")
         return builtin_models().model(name, **overrides)
@@ -256,9 +258,7 @@ def resolve_model(cfg: Config) -> SpacetimeModel:
         pair = [s.strip() for s in inner.split(",")]
         if len(pair) != 2 or not all(c in coords for c in pair):
             raise ConfigError(f"bad metric component key 'g[{inner}]'", v.line)
-        if len(v.items) != 1:
-            raise ConfigError(f"'g[{inner}]' expects one expression", v.line)
-        components[(coords.index(pair[0]), coords.index(pair[1]))] = v.items[0][1]
+        components[(coords.index(pair[0]), coords.index(pair[1]))] = v.single()
     loci = ()
     if cfg.has("model", "singular_loci"):
         loci = tuple(text for _, text in cfg.value("model", "singular_loci").items)
@@ -335,7 +335,7 @@ def cmd_certify(args) -> int:
         for name in model.coordinate_names:
             if name not in boxes:
                 raise ConfigError(f"certify box missing coordinate '{name}'")
-            lohi = [float(t) for _, t in boxes[name].items]
+            lohi = boxes[name].numbers()
             if len(lohi) != 2:
                 raise ConfigError(f"box[{name}] expects 'lo, hi'", boxes[name].line)
             region.append((lohi[0], lohi[1]))
@@ -407,7 +407,7 @@ def cmd_geodesic_probe(args) -> int:
         for name in model.coordinate_names:
             if name not in loops:
                 raise ConfigError(f"loop is missing coordinate '{name}'")
-            texts.append(loops[name].items[0][1])
+            texts.append(loops[name].single())
         curve = CurveSpec.from_texts(texts, extra_symbols=tuple(model.parameters))
         n_samples = int(cfg.number("geodesic-probe", "loop_samples", 256.0))
         probe = closed_curve_probe(field, model, curve, c, n_samples, tolerance)
@@ -480,7 +480,7 @@ def cmd_slice_probe(args) -> int:
     report.kv("declared_maximal", maximal)
     all_positive = True
     for label in sorted(points):
-        coords = [float(t) for _, t in points[label].items]
+        coords = points[label].numbers()
         p = Point(coords)
         hess = slice_restricted_hessian(field, model, spec, p)
         lap = slice_laplacian(field, model, spec, p)

@@ -22,13 +22,15 @@ are dimensionless (geometric units throughout).
 There is one evaluator: `_CodeGen` emits straight-line Python for the value,
 the gradient and the upper triangle of the Hessian, mirrored so that the
 Hessian is symmetric to the bit. Parameters bind as constants when the code
-is compiled. All six entry points (`compile_jet1`, `compile_jets1`,
-`compile_value`, `eval_jet2`, `eval_jet1`, `eval_value`) take that code from
-one bounded LRU cache keyed by the order, the AST (or, for the fused
-`compile_jets1`, the tuple of ASTs), the coordinate names and the values of
-the parameters the ASTs reference. Each AST node computes its hash and its
-symbol set once, on first use, so the key costs O(1) per call rather than a
-walk of the tree.
+is compiled. All six entry points (`compile_value`, `compile_jet1`,
+`compile_jet2`, `eval_jet2`, `eval_jet1`, `eval_value`) take that code from
+one bounded LRU cache keyed by the order, the AST or fused set (a tuple of
+ASTs compiled to one function that returns one flat tuple), the coordinate
+names and the values of the parameters referenced. Each AST node computes
+its hash and its symbol set once, on first use, so a key costs O(1).
+The emitted code alone keeps one contract for every entry point: all outputs
+are finite, or the call raises a DomainError naming the expression (in a
+fused set, the member that failed) and the point.
 """
 
 from __future__ import annotations
@@ -230,7 +232,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return Num(float(tok.text))
+            try:
+                return Num(float(tok.text))
+            except ValueError:  # str.isdigit accepts digits float does not, such as '²'
+                raise ParseError(f"malformed number '{tok.text}'", tok.line, tok.column) from None
         if tok.kind == "IDENT":
             self.advance()
             if self.peek().kind == "LPAREN":
@@ -415,6 +420,7 @@ _COMPILE_GLOBALS = {
     "_checked_sqrt": _checked_sqrt,
     "DomainError": DomainError,
     "ArithmeticError": ArithmeticError,
+    "ValueError": ValueError,
     "_wrap_domain": _wrap_domain,
 }
 
@@ -586,16 +592,29 @@ class _CodeGen:
             return a
         return self.temp(f"{a} {op} {b}")
 
+    def outputs(self, node):
+        """Emit node and one check that its value, gradient and Hessian are
+        finite; return them, as far as this order goes, as lists of code."""
+        val, ds, hs = self.emit(node)
+        checked = dict.fromkeys([val] + [d for d in ds if d is not None] + list(hs.values()))
+        # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
+        self.lines.append("        if " + " + ".join(f"({c} - {c})" for c in checked)
+                          + ' != 0.0: raise DomainError("non-finite result")')
+        gradient = ["0.0" if d is None else d for d in ds]
+        hessian = [hs.get((min(i, j), max(i, j)), "0.0")
+                   for i in range(len(ds)) for j in range(len(ds))] if self.order == 2 else []
+        return ([val], gradient, hessian)[:self.order + 1]
+
     def define(self, ast, result, filename, culprit="_ast"):
         """Compile the emitted lines into _fn(x0, ...) -> result; one try block
-        turns a DomainError, an overflow or a division by an underflowed
-        square anywhere in them into a DomainError naming the expression (the
-        code `culprit`, evaluated over `_ast`) and the point."""
+        turns a DomainError, an overflow, a math domain error or a division by
+        an underflowed square anywhere in them into a DomainError naming the
+        expression (the code `culprit`, evaluated over `_ast`) and the point."""
         args = ", ".join(f"x{i}" for i in range(len(self.coords)))
         point = f"({args}{',' if self.coords else ''})"
         body = "".join(line + "\n" for line in self.lines) or "        pass\n"
         src = (f"def _fn({args}):\n    try:\n{body}"
-               "    except (DomainError, ArithmeticError) as exc:\n"
+               "    except (DomainError, ArithmeticError, ValueError) as exc:\n"
                f"        raise _wrap_domain(exc, {culprit}, {point}) from None\n"
                f"    return {result}\n")
         ns = dict(_COMPILE_GLOBALS, _ast=ast)
@@ -603,28 +622,24 @@ class _CodeGen:
         return ns["_fn"]
 
 
+def _tuple_source(items):
+    return "(" + "".join(item + ", " for item in items) + ")"
+
+
 def _compile(ast, coordinate_names, parameters, order):
     """fn(*coords) -> value (order 0), (value, gradient) (order 1) or
-    (value, gradient, row-major Hessian) (order 2), as plain float tuples.
-    A tuple of ASTs at order 1 compiles to one fused fn returning the flat
-    tuple (value, gradient..., value, gradient..., ...)."""
+    (value, gradient, row-major Hessian) (order 2), as plain float tuples. A
+    fused set returns one flat tuple: each expression's value, then its
+    gradient (order >= 1), then its row-major Hessian (order 2), in order."""
     gen = _CodeGen(coordinate_names, parameters, order)
     if isinstance(ast, tuple):
-        parts = []
+        flat = []
         for k, node in enumerate(ast):
             gen.lines.append(f"        _k = {k}")  # names the failing expression
-            val, ds, _ = gen.emit(node)
-            parts += [val] + ["0.0" if d is None else d for d in ds]
-        result = "(" + "".join(p + ", " for p in parts) + ")"
-        return gen.define(ast, result, "<stconvex-fused>", culprit="_ast[_k]")
-    val, ds, hs = gen.emit(ast)
-    result = val
-    if order >= 1:
-        result += ", (" + "".join(("0.0" if d is None else d) + ", " for d in ds) + ")"
-    if order == 2:
-        n = len(ds)
-        entries = (hs.get((min(i, j), max(i, j)), "0.0") for i in range(n) for j in range(n))
-        result += ", (" + "".join(e + ", " for e in entries) + ")"
+            flat += [item for part in gen.outputs(node) for item in part]
+        return gen.define(ast, _tuple_source(flat), "<stconvex-fused>", culprit="_ast[_k]")
+    (val,), *derivatives = gen.outputs(ast)
+    result = ", ".join([val] + [_tuple_source(part) for part in derivatives])
     return gen.define(ast, result, f"<stconvex-order{order}>")
 
 
@@ -634,10 +649,10 @@ def _cached_code(order, ast, names, bound):
 
 
 def _code(order, ast, coordinate_names, parameters):
-    """Compiled code of the expression from one bounded LRU cache, keyed by
-    the order, the AST, the coordinate names and the values of the parameters
-    the AST references, so equal expressions share code however often they
-    are re-parsed and whichever entry point asks."""
+    """Compiled code of the expression or fused set from one bounded LRU
+    cache, keyed by the order, the AST, the coordinate names and the values
+    of the parameters the AST references, so equal expressions share code
+    however often they are re-parsed and whichever entry point asks."""
     bound = ()
     if parameters:
         refs = frozenset().union(*map(symbols_in, ast)) if isinstance(ast, tuple) \
@@ -646,31 +661,31 @@ def _code(order, ast, coordinate_names, parameters):
     return _cached_code(order, ast, tuple(coordinate_names), bound)
 
 
-def compile_jet1(ast, coordinate_names, parameters=None):
-    """Compile to fn(*coords) -> (value, gradient tuple); parameters bind now."""
-    return _code(1, ast, coordinate_names, parameters)
-
-
-def compile_jets1(asts, coordinate_names, parameters=None):
-    """Compile several expressions into one fn(*coords) -> flat tuple of each
-    expression's value followed by its gradient, in order. Each expression's
-    lines are those compile_jet1 emits, so the numbers are bit-identical."""
-    return _code(1, tuple(asts), coordinate_names, parameters)
-
-
 def compile_value(ast, coordinate_names, parameters=None):
-    """Compile to fn(*coords) -> value; parameters bind now."""
+    """fn(*coords) -> value; for a fused set, their values. Parameters bind now."""
     return _code(0, ast, coordinate_names, parameters)
 
 
+def compile_jet1(ast, coordinate_names, parameters=None):
+    """fn(*coords) -> (value, gradient tuple); for a fused set, each one's
+    value and gradient, flat, in order. Parameters bind now."""
+    return _code(1, ast, coordinate_names, parameters)
+
+
+def compile_jet2(ast, coordinate_names, parameters=None):
+    """fn(*coords) -> (value, gradient tuple, row-major Hessian tuple); for a
+    fused set, each one's value, gradient and Hessian, flat, in order."""
+    return _code(2, ast, coordinate_names, parameters)
+
+
 def _run(order, ast, coordinate_names, coordinate_values, parameters):
-    """(result of the compiled code at the point, the point)."""
+    """Result of the compiled code at the point."""
     names = tuple(coordinate_names)
     values = tuple(float(v) for v in coordinate_values)
     if len(values) != len(names):
         raise ValueError(f"{len(values)} coordinate values for the {len(names)} "
                          f"coordinates {names}")
-    return _code(order, ast, names, parameters)(*values), values
+    return _code(order, ast, names, parameters)(*values)
 
 
 def eval_jet2(ast, coordinate_names, coordinate_values, parameters=None) -> Jet2:
@@ -678,29 +693,18 @@ def eval_jet2(ast, coordinate_names, coordinate_values, parameters=None) -> Jet2
 
     Coordinates are seeded as jet variables in the given order; parameters
     bind as constants. Raises DomainError (with the expression attached) if
-    the point is outside an elementary function's domain.
+    the point is outside a function's domain or a result is not finite.
     """
-    (value, gradient, hessian), values = _run(2, ast, coordinate_names, coordinate_values,
-                                              parameters)
-    n = len(values)
-    out = Jet2(value, np.array(gradient), np.array(hessian).reshape(n, n))
-    if not (math.isfinite(value) and np.isfinite(out.gradient).all()
-            and np.isfinite(out.hessian).all()):
-        raise _wrap_domain("non-finite result", ast, values)
-    return out
+    value, gradient, hessian = _run(2, ast, coordinate_names, coordinate_values, parameters)
+    n = len(gradient)
+    return Jet2(value, np.array(gradient), np.array(hessian).reshape(n, n))
 
 
 def eval_jet1(ast, coordinate_names, coordinate_values, parameters=None) -> Jet1:
     """Value and gradient only; used where second derivatives are not needed."""
-    (value, gradient), values = _run(1, ast, coordinate_names, coordinate_values, parameters)
-    if not (math.isfinite(value) and all(map(math.isfinite, gradient))):
-        raise _wrap_domain("non-finite result", ast, values)
-    return Jet1(value, gradient)
+    return Jet1(*_run(1, ast, coordinate_names, coordinate_values, parameters))
 
 
 def eval_value(ast, coordinate_names, coordinate_values, parameters=None) -> float:
     """Plain numeric evaluation (no derivatives)."""
-    value, values = _run(0, ast, coordinate_names, coordinate_values, parameters)
-    if not math.isfinite(value):
-        raise _wrap_domain("non-finite result", ast, values)
-    return value
+    return _run(0, ast, coordinate_names, coordinate_values, parameters)

@@ -162,8 +162,8 @@ def null_expansions(model: SpacetimeModel, base_point) -> tuple[float, float]:
     ia, ib = bf.base_indices
     base_names = (model.coordinate_names[ia], model.coordinate_names[ib])
     fiber = set(model.coordinate_names) - set(base_names)
-    for node in (model.components[ia][ia], model.components[ia][ib],
-                 model.components[ib][ib], bf.area_radius):
+    block = (model.components[ia][ia], model.components[ia][ib], model.components[ib][ib])
+    for node in block + (bf.area_radius,):
         bad = ex.symbols_in(node) & fiber
         if bad:
             raise NotBlockForm(f"base block depends on fiber coordinate '{sorted(bad)[0]}'")
@@ -178,10 +178,8 @@ def null_expansions(model: SpacetimeModel, base_point) -> tuple[float, float]:
     if len(values) != 2:
         raise ValueError("base_point must supply exactly the two base coordinates")
     params = model.parameters
-    gamma = np.zeros((2, 2))
-    for (a, i), (b, j) in (((0, ia), (0, ia)), ((0, ia), (1, ib)), ((1, ib), (1, ib))):
-        v = ex.eval_value(model.components[i][j], base_names, values, params)
-        gamma[a, b] = gamma[b, a] = v
+    g_aa, g_ab, g_bb = ex.compile_value(block, base_names, params)(*values)
+    gamma = np.array([[g_aa, g_ab], [g_ab, g_bb]])
     eigenvalues, vectors = np.linalg.eigh(gamma)
     if not (eigenvalues[0] < 0.0 < eigenvalues[1]):
         raise WrongSignature(f"base block is not Lorentzian at {values}")

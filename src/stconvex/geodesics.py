@@ -214,7 +214,8 @@ def convexity_along_curve(f: ex.ScalarField, trajectory: Trajectory, c: float,
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """A coordinate curve given by expressions in one parameter on [0, 1]."""
+    """A coordinate curve given by expressions in one parameter on [0, 1],
+    evaluated as one fused set: one compiled call per parameter value."""
 
     components: tuple[ex.Expr, ...]
     sources: tuple[str, ...]
@@ -227,13 +228,9 @@ class CurveSpec:
 
     def jets(self, s: float, parameters=None):
         """position, ds, dss arrays at parameter value s (exact jets)."""
-        pos, d1, d2 = [], [], []
-        for node in self.components:
-            jet = ex.eval_jet2(node, (self.parameter,), (s,), parameters)
-            pos.append(jet.value)
-            d1.append(jet.gradient[0])
-            d2.append(jet.hessian[0, 0])
-        return np.array(pos), np.array(d1), np.array(d2)
+        flat = ex.compile_jet2(self.components, (self.parameter,), parameters)(float(s))
+        # each component contributes (value, d/ds, d2/ds2)
+        return np.array(flat[0::3]), np.array(flat[1::3]), np.array(flat[2::3])
 
 
 @dataclass(frozen=True)

@@ -199,9 +199,10 @@ def is_lorentzian(matrix, tol=SIGNATURE_TOL) -> bool:
 class MetricEvaluator:
     """Prepared evaluator for one model; the hot path for integrators.
 
-    The unique component expressions are compiled once, at preparation
-    time, into one fused closure returning every value and gradient as a flat
-    tuple, which two precomputed index arrays scatter into g and dg.
+    Two fused sets are compiled once, at preparation time: the unique
+    components, whose values and gradients two precomputed index arrays
+    scatter into g and dg, and the singular loci, kept apart so that the
+    guard fires before a component undefined at a locus can raise.
     Constant-component charts (e.g. flat space in Cartesian coordinates) are
     short-circuited entirely.
     """
@@ -222,20 +223,21 @@ class MetricEvaluator:
                     seen[id(node)] = len(unique)
                     unique.append(node)
                 slot[i, j] = slot[j, i] = seen[id(node)]
-        self._fused = ex.compile_jets1(unique, self.names, self.params)
+        self._fused = ex.compile_jet1(tuple(unique), self.names, self.params)
         # the fused tuple holds (value, gradient...) per unique component, so
         # d_lam of slot (i, j) sits 1 + lam after that component's value
         self._g_index = slot * (d + 1)
         self._dg_index = self._g_index[None, :, :] + 1 + np.arange(d)[:, None, None]
-        self._loci = [(ex.compile_value(node, self.names, self.params), node)
-                      for node in model.singular_loci]
+        self._loci = tuple(model.singular_loci)
+        self._locus_values = ex.compile_value(self._loci, self.names, self.params)
         self._constant = all(isinstance(node, ex.Num) for node in unique)
         self._const_data = None
 
     def guard(self, coords):
-        """Raise SingularMetric when within the declared locus guard."""
-        for fn, node in self._loci:
-            if abs(fn(*coords)) < LOCUS_GUARD:
+        """Raise SingularMetric when within the declared locus guard; every
+        locus is evaluated before any is compared."""
+        for value, node in zip(self._locus_values(*coords), self._loci):
+            if abs(value) < LOCUS_GUARD:
                 locus = ex.to_source(node)
                 raise SingularMetric(
                     f"point {tuple(coords)} lies on or within {LOCUS_GUARD} of the "
@@ -244,21 +246,17 @@ class MetricEvaluator:
     def locus_values(self, coords):
         """Signed locus-expression values; a sign change between two points
         means the segment crossed a singular locus."""
-        return tuple(fn(*coords) for fn, _ in self._loci)
+        return self._locus_values(*coords)
 
     def components(self, coords):
-        """(g, dg) with dg[lam, mu, nu] = d_lam g_{mu nu}, by exact jets. A
-        DomainError names the model; a non-finite component raises
-        SingularMetric. The singular-locus guard is not applied here."""
+        """(g, dg) with dg[lam, mu, nu] = d_lam g_{mu nu}, by exact jets, all
+        finite: the compiled code raises a DomainError otherwise, re-raised
+        here naming the model. The singular-locus guard is not applied here."""
         try:
             flat = np.array(self._fused(*coords))
         except DomainError as exc:
             raise DomainError(f"{exc} [metric of '{self.name}' at {coords}]") from None
-        g = flat[self._g_index]
-        dg = flat[self._dg_index]
-        if not np.isfinite(g).all():
-            raise SingularMetric(f"non-finite metric component at {coords}")
-        return g, dg
+        return flat[self._g_index], flat[self._dg_index]
 
     def metric_at(self, point: Point, checks=True) -> MetricAt:
         coords = point.coordinates

@@ -401,3 +401,49 @@ def test_foliate_rejects_grid_flag(tmp_path, capsys):
         main(["foliate", "--config", cfg, "--grid", "3"])
     assert exc.value.code == 1
     assert "unrecognized arguments: --grid 3" in capsys.readouterr().err
+
+
+_BAD_NUMBERS_MODEL = """[model]
+builtin = schwarzschild-exterior
+{model_line}
+[field]
+expression = "r"
+"""
+
+
+@pytest.mark.parametrize("command, text, key, message", [
+    ("certify", _BAD_NUMBERS_MODEL.format(model_line="param[M] = abc"),
+     "param[M]", "non-number 'abc'"),
+    ("certify", _BAD_NUMBERS_MODEL.format(model_line="param[M] = 1, 2"),
+     "param[M]", "expects a single value"),
+    ("certify", CERTIFY_TEMPLATE.format(alpha=0.5).replace("box[x] = -1, 1", "box[x] = -1, x"),
+     "box[x]", "non-number 'x'"),
+    ("slice-probe", _BAD_NUMBERS_MODEL.format(model_line="") + """[slice-probe]
+coordinate = t
+value = 0.0
+point[0] = 0, a, 0, 0
+""", "point[0]", "non-number 'a'"),
+    ("geodesic-probe", """[model]
+builtin = minkowski-cartesian
+[field]
+builtin = canonical
+alpha = 1.0
+[geodesic-probe]
+loop[t] = "0"
+loop[x] = "cos(s)", "sin(s)"
+loop[y] = "sin(s)"
+loop[z] = "0"
+""", "loop[x]", "expects a single value"),
+], ids=["param-not-a-number", "param-two-values", "box-not-a-number",
+        "point-not-a-number", "loop-two-payloads"])
+def test_numbers_and_single_values_name_key_and_line(tmp_path, capsys, command, text, key,
+                                                     message):
+    """Every number and single-valued key goes through one checked
+    conversion: a bad value exits 1 with a ConfigError naming the key and its
+    line, never a bare float() message, and an extra value is never dropped."""
+    cfg = write(tmp_path, "bad.cfg", text)
+    line = next(n for n, raw in enumerate(text.splitlines(), 1) if raw.startswith(key))
+    code, _, err = run(capsys, command, "--config", cfg, "--no-timestamp")
+    assert code == 1
+    assert f"error: line {line}: " in err
+    assert message in err and f"'{key}'" in err

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from stconvex.errors import DomainError, ParseError, UnknownSymbol
 from stconvex.expressions import (FUNCTIONS, BinOp, Call, Neg, Num, Sym, _cached_code,
-                                  compile_jet1, compile_jets1, compile_value, eval_jet1,
+                                  compile_jet1, compile_jet2, compile_value, eval_jet1,
                                   eval_jet2, eval_value, parse, symbols_in, to_source)
 
 from conftest import fd_gradient, fd_hessian
@@ -44,6 +44,22 @@ def test_parse_error_column():
     with pytest.raises(ParseError) as info:
         parse("x +", ("x",))
     assert info.value.column == 4
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("\u00b2", 1, 1), ("x+\u00b2", 1, 3), ("1.5e\u00b2", 1, 1), ("x +\n  \u00b2", 2, 3)],
+    ids=["alone", "after-plus", "in-exponent", "second-line"])
+def test_number_that_float_rejects_is_parse_error(text, line, column):
+    """str.isdigit accepts the superscript two, so the tokenizer reads it as a
+    NUMBER; float() rejects it, and parse raises a ParseError at that token,
+    not a bare ValueError."""
+    with pytest.raises(ParseError, match="malformed number") as info:
+        parse(text, ("x",))
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+def test_decimal_digits_float_accepts_still_parse():
+    assert parse("\u0663.5", ()) == Num(3.5)  # Arabic-Indic three
 
 
 def test_unknown_symbol_named():
@@ -168,6 +184,10 @@ def _compiled_value(ast, names, point):
     return compile_value(ast, names)(*point)
 
 
+def _compiled_jet2(ast, names, point):
+    return compile_jet2(ast, names)(*point)
+
+
 #: evaluator -> (derivative order, fn(ast, names, point))
 _EVALUATORS = {
     "eval_jet2": (2, eval_jet2),
@@ -175,6 +195,7 @@ _EVALUATORS = {
     "eval_value": (0, eval_value),
     "compile_jet1": (1, _compiled_jet1),
     "compile_value": (0, _compiled_value),
+    "compile_jet2": (2, _compiled_jet2),
 }
 
 #: rule -> (expression, coordinates, point, DomainError message, lowest
@@ -192,6 +213,13 @@ _DOMAIN_RULES = {
                                                    "log of non-positive value", 0),
     # d(x/y)/dy divides by y*y, which underflows to 0 while y itself does not
     "underflowed-denominator-square": ("x/y", XY, (1.0, 1e-200), "division by zero", 1),
+    # the argument overflows to inf and math.sin raises a bare ValueError
+    "math-domain-error": ("sin(x*1e200*1e200)", ("x",), (1.0,), "math domain error", 0),
+    # nothing raises along the way: only the emitted finiteness check sees inf
+    "non-finite-result": ("x*1e200*1e200", ("x",), (1.0,), "non-finite result", 0),
+    # tanh saturates to a finite value, but its slope (1 - tanh^2) * inf is NaN
+    "non-finite-derivative": ("2 + tanh(x*1e200*1e200)", ("x",), (1.0,),
+                              "non-finite result", 1),
 }
 
 
@@ -200,8 +228,9 @@ _DOMAIN_RULES = {
     pytest.param(rule, name, id=name if rule == "overflow" else f"{name}-{rule}")
     for rule in _DOMAIN_RULES for name in _EVALUATORS])
 def test_overflow_is_domain_error(rule, evaluator):
-    """Every domain rule, float overflow included, raises a DomainError that
-    names the expression in all five evaluators, never a bare OverflowError.
+    """Every domain rule, float overflow, math domain errors and non-finite
+    results included, raises a DomainError that names the expression in all
+    six evaluators, never a bare OverflowError or ValueError.
     A rule of the derivative leaves the value finite: abs(0) itself is 0."""
     text, names, point, message, lowest_order = _DOMAIN_RULES[rule]
     order, evaluate = _EVALUATORS[evaluator]
@@ -227,7 +256,8 @@ def test_negative_integer_power_at_zero_raises():
         eval_jet2(parse("x^-1", ("x",)), ("x",), (0.0,))
 
 
-@pytest.mark.parametrize("evaluate", [eval_jet2, eval_jet1, eval_value])
+@pytest.mark.parametrize("evaluate", [eval_jet2, eval_jet1, eval_value, _compiled_jet2,
+                                      _compiled_jet1, _compiled_value])
 def test_infinite_literal_is_domain_error(evaluate):
     with pytest.raises(DomainError, match="non-finite result"):
         evaluate(parse("1e999*x", ("x",)), ("x",), (1.0,))
@@ -436,12 +466,12 @@ def test_compile_shares_the_evaluator_cache():
 
 
 def test_fused_jets_bit_identical_and_name_the_failing_expression():
-    """compile_jets1 returns each expression's value and gradient in order,
-    bit-identical to compile_jet1, and a DomainError names the expression
-    that failed, not the first one."""
+    """compile_jet1 on a tuple returns each expression's value and gradient
+    in order, bit-identical to compile_jet1 on each, and a DomainError names
+    the expression that failed, not the first one."""
     texts = ("x*sin(y) + M", "2", "log(y)", "x/(1 + y^2)")
-    asts = [parse(t, ("x", "y", "M")) for t in texts]
-    fused = compile_jets1(asts, XY, {"M": 0.5})
+    asts = tuple(parse(t, ("x", "y", "M")) for t in texts)
+    fused = compile_jet1(asts, XY, {"M": 0.5})
     flat = fused(0.7, 1.3)
     assert len(flat) == 3 * len(asts)
     for k, ast in enumerate(asts):
@@ -449,7 +479,43 @@ def test_fused_jets_bit_identical_and_name_the_failing_expression():
         assert flat[3 * k:3 * k + 3] == (value, *gradient)
     with pytest.raises(DomainError, match=r"'log\(y\)' at \(0\.7, -1\.0\)"):
         fused(0.7, -1.0)
-    assert compile_jets1([parse(t, ("x", "y", "M")) for t in texts], XY, {"M": 0.5}) is fused
+    assert compile_jet1(tuple(parse(t, ("x", "y", "M")) for t in texts), XY, {"M": 0.5}) is fused
+
+
+_FUSED_TEXTS = ("x*sin(y) + M", "2", "y^3/(1 + x^2)", "exp(x*y)", "x")
+
+
+@pytest.mark.parametrize("point", [(0.7, 1.3), (-0.4, 0.25), (2.0, -1.5)])
+def test_fused_sets_at_orders_0_and_2_bit_identical(point):
+    """A fused set at order 0 returns each expression's value, and at order 2
+    its value, gradient and row-major Hessian, bit-identical to the
+    per-expression code."""
+    asts = tuple(parse(t, ("x", "y", "M")) for t in _FUSED_TEXTS)
+    values = compile_value(asts, XY, {"M": 0.5})(*point)
+    jets = compile_jet2(asts, XY, {"M": 0.5})(*point)
+    assert len(values) == len(asts) and len(jets) == 7 * len(asts)
+    for k, ast in enumerate(asts):
+        assert values[k] == compile_value(ast, XY, {"M": 0.5})(*point)
+        value, gradient, hessian = compile_jet2(ast, XY, {"M": 0.5})(*point)
+        assert jets[7 * k:7 * k + 7] == (value, *gradient, *hessian)
+        jet = eval_jet2(ast, XY, point, {"M": 0.5})
+        assert jets[7 * k:7 * k + 7] == (jet.value, *jet.gradient, *jet.hessian.ravel())
+
+
+@pytest.mark.parametrize("compile_fn", [compile_value, compile_jet1, compile_jet2])
+@pytest.mark.parametrize("failing, point, message", [
+    ("log(y)", (0.7, -1.0), "log of non-positive value"),
+    ("x*1e200*1e200", (0.7, 1.0), "non-finite result"),
+    ("sin(x*1e200*1e200)", (0.7, 1.0), "math domain error"),
+])
+def test_fused_sets_name_the_failing_member(compile_fn, failing, point, message):
+    """Every order's fused set names the member that failed and the point,
+    whether a checked domain, a math domain error or the emitted finiteness
+    check stops it."""
+    asts = (parse("x + y", XY), parse(failing, XY), parse("x*y", XY))
+    with pytest.raises(DomainError, match=message) as info:
+        compile_fn(asts, XY)(*point)
+    assert str(info.value).endswith(f" while evaluating '{to_source(asts[1])}' at {point}")
 
 
 _CACHED_TEXT = "2*M/r - 1 + sin(theta)^2*exp(-r)"

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from stconvex import (CurveSpec, NotClosed, SingularMetric, SpacetimeModel,
+from stconvex import (CurveSpec, DomainError, NotClosed, SingularMetric, SpacetimeModel,
                       StepSizeInvalid, VectorClass, builtin_models, canonical_field,
                       closed_curve_probe, convexity_along_curve, covariant_hessian,
                       eval_metric, integrate_geodesic)
+from stconvex.expressions import eval_jet2
 from stconvex.geodesics import GeodesicState
 
 CAT = builtin_models()
@@ -248,6 +249,25 @@ def test_closed_circle_probe():
     assert report.min_margin == pytest.approx(-4.0 * math.pi ** 2, rel=1e-9)
     # the pointwise Hessian margin itself is fine: the obstruction is global
     assert report.min_hessian_margin == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.13, 0.5, 0.97, 1.0])
+def test_curve_jets_bit_identical_to_per_component_jets(s):
+    """One fused compiled call per s gives what four eval_jet2 calls gave."""
+    curve = CurveSpec.from_texts(
+        ("0.5*s", f"R*cos({TWO_PI!r}*s)", f"R*sin({TWO_PI!r}*s)^3", "exp(-s)*s^2"),
+        extra_symbols=("R",))
+    pos, d1, d2 = curve.jets(s, {"R": 1.7})
+    jets = [eval_jet2(node, ("s",), (s,), {"R": 1.7}) for node in curve.components]
+    assert pos.tolist() == [jet.value for jet in jets]
+    assert d1.tolist() == [jet.gradient[0] for jet in jets]
+    assert d2.tolist() == [jet.hessian[0, 0] for jet in jets]
+
+
+def test_curve_jets_name_the_failing_component():
+    curve = CurveSpec.from_texts(("0", "s", "log(s)", "0"))
+    with pytest.raises(DomainError, match=r"while evaluating 'log\(s\)' at \(0\.0,\)"):
+        curve.jets(0.0)
 
 
 def test_closed_curve_on_singular_metric_raises():

@@ -12,7 +12,7 @@ from stconvex import (NullGradient, Point, SingularMetric, TangentVector,
                       gradient_invariant)
 from stconvex.expressions import eval_jet2
 from stconvex import DomainError, geometry
-from stconvex.expressions import compile_jet1
+from stconvex.expressions import compile_jet1, to_source
 from stconvex.geometry import SpacetimeModel, christoffels_from, geodesic_acceleration
 
 from conftest import (fd_christoffels, fd_gradient, fd_hessian,
@@ -51,6 +51,36 @@ def test_locus_guard_width():
     with pytest.raises(SingularMetric):
         eval_metric(SCHW, Point((0.0, 2.0 + 5e-7, 1.2, 0.3)))
     eval_metric(SCHW, Point((0.0, 2.001, 1.2, 0.3)))  # past the guard: fine
+
+
+@pytest.mark.parametrize("component", ["2 + tanh(x*1e200*1e200)", "x*1e200*1e200"],
+                         ids=["nan-derivative", "infinite-value"])
+@pytest.mark.parametrize("checks", [True, False])
+def test_non_finite_metric_data_is_domain_error(component, checks):
+    """tanh saturates, so g_xx is a finite 3 while its derivative is NaN; the
+    compiled components reject both that and an infinite g_xx, so metric_at
+    raises a DomainError naming the model, the component and the point and
+    never hands NaN on to the connection."""
+    model = SpacetimeModel.from_components(
+        name="inline", coordinate_names=("t", "x"), components={(0, 0): "-1", (1, 1): component})
+    with pytest.raises(DomainError) as info:
+        geometry.evaluator_for(model).metric_at(Point((0.0, 1.0)), checks=checks)
+    source = to_source(model.components[1][1])
+    assert str(info.value) == (f"non-finite result while evaluating '{source}' at (0.0, 1.0) "
+                               "[metric of 'inline' at (0.0, 1.0)]")
+
+
+def test_guard_evaluates_every_locus_before_comparing():
+    """The loci run as one fused set: at x = 0 the first locus is inside the
+    guard, but the second, log(x), is evaluated before any comparison and
+    raises."""
+    model = SpacetimeModel.from_components(
+        name="inline", coordinate_names=("t", "x"), components={(0, 0): "-1", (1, 1): "1"},
+        singular_loci=("x", "log(x)"))
+    with pytest.raises(DomainError, match=r"while evaluating 'log\(x\)' at \(0\.0, 0\.0\)"):
+        eval_metric(model, Point((0.0, 0.0)))
+    with pytest.raises(SingularMetric, match="singular locus x = 0"):
+        eval_metric(model, Point((0.0, 1e-7)))
 
 
 def test_wrong_signature_rejected():
