@@ -46,14 +46,20 @@ Run configuration is a flat sectioned key = value text file:
     point = 1, 0.8, 1.0, 0.4
 
 Expression payloads are quoted verbatim; everything else is numbers, names,
-or comma lists. Reports are deterministic for a given config apart from the
-leading timestamp line, which --no-timestamp suppresses; CSV uses '.' as the
+or comma lists. Every value, a missing key's default included, takes one
+checked conversion whose errors name the key and its line: numbers must be
+finite and counts whole. --grid and --tolerance set the key they override
+and take its conversion. Handlers read a Config and fill a Report; main
+alone reads the file, writes the report and turns errors into exit 1.
+Reports are deterministic for a given config apart from the leading
+timestamp line, which --no-timestamp suppresses; CSV uses '.' as the
 decimal separator and 17 significant digits.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -69,8 +75,6 @@ from .foliation import (SliceSpec, barrier_scan, mean_curvature, slice_laplacian
 from .geodesics import (CurveSpec, GeodesicState, closed_curve_probe,
                         convexity_along_curve, integrate_geodesic)
 from .geometry import Point, SpacetimeModel
-
-_REQUIRED = object()
 
 
 def _fmt(x) -> str:
@@ -103,14 +107,23 @@ class ConfigValue:
     def number(self) -> float:
         return self._float(self.single())
 
+    def count(self) -> int:
+        value = self.number()
+        if not value.is_integer():
+            raise ConfigError(f"'{self.key}' must be a whole number, got {value!r}", self.line)
+        return int(value)
+
     def numbers(self) -> list[float]:
         return [self._float(text) for _, text in self.items]
 
     def _float(self, text) -> float:
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise ConfigError(f"non-number {text!r} in '{self.key}'", self.line) from None
+        if not math.isfinite(value):
+            raise ConfigError(f"non-finite {text!r} in '{self.key}'", self.line)
+        return value
 
 
 def _split_value(text, lineno):
@@ -200,36 +213,36 @@ class Config:
     def has(self, section, key) -> bool:
         return key in self.section(section)
 
-    def value(self, section, key, default=_REQUIRED) -> ConfigValue:
+    def value(self, section, key, default=None) -> ConfigValue:
+        """The key's value; a missing key reads as the default text, and is
+        an error when there is none, so defaults take the same conversion."""
         sec = self.section(section)
-        if key not in sec:
-            if default is _REQUIRED:
-                raise ConfigError(f"missing '{key}' in [{section}]")
-            return default
-        return sec[key]
+        if key in sec:
+            return sec[key]
+        if default is None:
+            raise ConfigError(f"missing '{key}' in [{section}]")
+        return ConfigValue([("token", default)], key, None)
 
-    def scalar(self, section, key, default=_REQUIRED) -> str:
-        v = self.value(section, key, default)
-        return v.single() if isinstance(v, ConfigValue) else v
+    def scalar(self, section, key) -> str:
+        return self.value(section, key).single()
 
-    def number(self, section, key, default=_REQUIRED) -> float:
-        v = self.value(section, key, default)
-        return v.number() if isinstance(v, ConfigValue) else v
+    def number(self, section, key, default=None) -> float:
+        return self.value(section, key, default).number()
+
+    def count(self, section, key, default=None) -> int:
+        return self.value(section, key, default).count()
 
     def numbers(self, section, key) -> list[float]:
         return self.value(section, key).numbers()
 
-    def flag(self, section, key, default=False) -> bool:
-        raw = self.scalar(section, key, None)
-        if raw is None:
-            return default
-        lowered = raw.lower()
-        if lowered in ("true", "yes", "1"):
+    def flag(self, section, key) -> bool:
+        v = self.value(section, key, "false")
+        raw = v.single()
+        if raw.lower() in ("true", "yes", "1"):
             return True
-        if lowered in ("false", "no", "0"):
+        if raw.lower() in ("false", "no", "0"):
             return False
-        raise ConfigError(f"'{key}' must be true or false, got {raw!r}",
-                          self.value(section, key).line)
+        raise ConfigError(f"'{key}' must be true or false, got {raw!r}", v.line)
 
     def bracketed(self, section, prefix) -> dict[str, ConfigValue]:
         """All keys of the form prefix[inner], mapped by inner text."""
@@ -245,8 +258,7 @@ class Config:
 # --------------------------------------------------------------------------
 
 def resolve_model(cfg: Config) -> SpacetimeModel:
-    sec = cfg.section("model")
-    if not sec:
+    if not cfg.section("model"):
         raise ConfigError("missing [model] section")
     overrides = {name: v.number() for name, v in cfg.bracketed("model", "param").items()}
     if cfg.has("model", "builtin"):
@@ -268,18 +280,16 @@ def resolve_model(cfg: Config) -> SpacetimeModel:
 
 
 def resolve_field(cfg: Config, model: SpacetimeModel) -> ScalarField:
-    sec = cfg.section("field")
-    if not sec:
+    if not cfg.section("field"):
         raise ConfigError("missing [field] section")
     if cfg.has("field", "builtin"):
         name = cfg.scalar("field", "builtin")
         if not cfg.has("field", "alpha"):
             raise ConfigError(f"unbound parameter alpha for builtin field '{name}'")
         return builtin_models().field(name, alpha=cfg.number("field", "alpha"))
-    text = cfg.scalar("field", "expression", None)
-    if text is None:
+    if not cfg.has("field", "expression"):
         raise ConfigError("field needs either 'builtin' or 'expression'")
-    return model.field(text)
+    return model.field(cfg.scalar("field", "expression"))
 
 
 # --------------------------------------------------------------------------
@@ -312,21 +322,11 @@ class Report:
         return "\n".join(self.lines) + "\n"
 
 
-def _emit(report: Report, out_path):
-    text = report.render()
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
 
-def cmd_certify(args) -> int:
-    cfg = Config.from_path(args.config)
+def cmd_certify(cfg: Config, report: Report) -> int:
     model = resolve_model(cfg)
     field = resolve_field(cfg, model)
     boxes = cfg.bracketed("certify", "box")
@@ -346,12 +346,11 @@ def cmd_certify(args) -> int:
         raise ConfigError("no certify box given and the model declares no default")
     query = ConvexityQuery(
         region=region,
-        samples_per_axis=int(args.grid or cfg.number("certify", "samples_per_axis", 5.0)),
-        psd_tolerance=args.tolerance or cfg.number("certify", "psd_tolerance", 1e-10),
-        c_search_ceiling=cfg.number("certify", "c_ceiling", 1e3),
+        samples_per_axis=cfg.count("certify", "samples_per_axis", "5"),
+        psd_tolerance=cfg.number("certify", "psd_tolerance", "1e-10"),
+        c_search_ceiling=cfg.number("certify", "c_ceiling", "1e3"),
     )
     cert = certify_region(model, field, query)
-    report = Report(args.structured, not args.no_timestamp)
     report.kv("verdict", cert.verdict)
     if cert.c_interval is not None:
         report.kv("c_interval.lo", cert.c_interval.lo)
@@ -371,18 +370,15 @@ def cmd_certify(args) -> int:
     report.kv("per_point.c_hi_max", cert.per_point_stats.c_hi_max)
     report.kv("psd_tolerance", cert.psd_tolerance)
     report.comment("sampled certificate: holds at the grid resolution above, not proven globally")
-    _emit(report, args.out)
     return 0 if cert.verdict == "certified" else 2
 
 
-def cmd_barrier_scan(args) -> int:
-    cfg = Config.from_path(args.config)
+def cmd_barrier_scan(cfg: Config, report: Report) -> int:
     mass = cfg.number("barrier-scan", "M")
     r_lo = cfg.number("barrier-scan", "r_lo")
     r_hi = cfg.number("barrier-scan", "r_hi")
-    samples = int(args.grid or cfg.number("barrier-scan", "samples", 100.0))
+    samples = cfg.count("barrier-scan", "samples", "100")
     result = barrier_scan(mass, r_lo, r_hi, samples)
-    report = Report(args.structured, not args.no_timestamp)
     report.raw("r,TrK")
     for r, v in result.r_samples:
         report.csv_row((r, v))
@@ -390,17 +386,14 @@ def cmd_barrier_scan(args) -> int:
         report.comment(f"zero-crossing bracket: [{_fmt(lo)}, {_fmt(hi)}]")
     report.comment(f"maximal surface expected at 3M/2 = {_fmt(1.5 * mass)}")
     report.comment(f"sign_pattern_ok: {_fmt(result.sign_pattern_ok)}")
-    _emit(report, args.out)
     return 0 if result.sign_pattern_ok else 2
 
 
-def cmd_geodesic_probe(args) -> int:
-    cfg = Config.from_path(args.config)
+def cmd_geodesic_probe(cfg: Config, report: Report) -> int:
     model = resolve_model(cfg)
     field = resolve_field(cfg, model)
-    c = cfg.number("geodesic-probe", "c", 1.0)
-    tolerance = args.tolerance or cfg.number("geodesic-probe", "tolerance", 1e-10)
-    report = Report(args.structured, not args.no_timestamp)
+    c = cfg.number("geodesic-probe", "c", "1.0")
+    tolerance = cfg.number("geodesic-probe", "tolerance", "1e-10")
     loops = cfg.bracketed("geodesic-probe", "loop")
     if loops:
         texts = []
@@ -409,7 +402,7 @@ def cmd_geodesic_probe(args) -> int:
                 raise ConfigError(f"loop is missing coordinate '{name}'")
             texts.append(loops[name].single())
         curve = CurveSpec.from_texts(texts, extra_symbols=tuple(model.parameters))
-        n_samples = int(cfg.number("geodesic-probe", "loop_samples", 256.0))
+        n_samples = cfg.count("geodesic-probe", "loop_samples", "256")
         probe = closed_curve_probe(field, model, curve, c, n_samples, tolerance)
         report.kv("mode", "closed-loop")
         report.kv("obstructed", probe.obstructed)
@@ -418,14 +411,13 @@ def cmd_geodesic_probe(args) -> int:
         report.kv("min_hessian_margin", probe.min_hessian_margin)
         report.kv("c", probe.c)
         report.kv("samples", probe.n_samples)
-        _emit(report, args.out)
         return 2 if probe.obstructed else 0
     position = cfg.numbers("geodesic-probe", "position")
     velocity = cfg.numbers("geodesic-probe", "velocity")
     span = cfg.numbers("geodesic-probe", "span")
     if len(span) != 2:
         raise ConfigError("span expects 'start, end'")
-    step = cfg.number("geodesic-probe", "step", 1e-3)
+    step = cfg.number("geodesic-probe", "step", "1e-3")
     trajectory = integrate_geodesic(model, GeodesicState.of(position, velocity),
                                     (span[0], span[1]), step)
     margins = convexity_along_curve(field, trajectory, c, tolerance)
@@ -438,14 +430,12 @@ def cmd_geodesic_probe(args) -> int:
     report.comment(f"norm_drift: {_fmt(trajectory.max_norm_drift)}")
     if trajectory.truncated:
         report.comment(f"truncated: {trajectory.truncation_reason}")
-    _emit(report, args.out)
     if trajectory.truncated:
         return 1
     return 0 if margins.passed else 2
 
 
-def cmd_foliate(args) -> int:
-    cfg = Config.from_path(args.config)
+def cmd_foliate(cfg: Config, report: Report) -> int:
     model = resolve_model(cfg)
     field = resolve_field(cfg, model)
     coord = cfg.scalar("foliate", "coordinate")
@@ -454,28 +444,24 @@ def cmd_foliate(args) -> int:
     k = model.coordinate_names.index(coord)
     values = cfg.numbers("foliate", "values")
     base = cfg.numbers("foliate", "point")
-    report = Report(args.structured, not args.no_timestamp)
     report.raw(f"{coord},TrK")
     for value in values:
         coords = list(base)
         coords[k] = value
         trk = mean_curvature(field, model, Point(coords))
         report.csv_row((value, trk))
-    _emit(report, args.out)
     return 0
 
 
-def cmd_slice_probe(args) -> int:
-    cfg = Config.from_path(args.config)
+def cmd_slice_probe(cfg: Config, report: Report) -> int:
     model = resolve_model(cfg)
     field = resolve_field(cfg, model)
     spec = SliceSpec(cfg.scalar("slice-probe", "coordinate"),
                      cfg.number("slice-probe", "value"))
-    maximal = cfg.flag("slice-probe", "maximal", False)
+    maximal = cfg.flag("slice-probe", "maximal")
     points = cfg.bracketed("slice-probe", "point")
     if not points:
         raise ConfigError("slice-probe needs at least one point[...] entry")
-    report = Report(args.structured, not args.no_timestamp)
     report.kv("slice", f"{spec.coordinate} = {_fmt(spec.value)}")
     report.kv("declared_maximal", maximal)
     all_positive = True
@@ -493,7 +479,6 @@ def cmd_slice_probe(args) -> int:
             all_positive = False
     if maximal:
         report.kv("subharmonicity", "holds" if all_positive else "violated")
-    _emit(report, args.out)
     return 0 if (not maximal or all_positive) else 2
 
 
@@ -509,10 +494,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-#: override flags, registered only on the commands whose handlers read them
+#: flag -> (type, help, {command: the key it sets}), registered on those commands only
 _OVERRIDES = {
-    "--grid": (int, "override the sampling resolution", ("certify", "barrier-scan")),
-    "--tolerance": (float, "override the command's tolerance", ("certify", "geodesic-probe")),
+    "--grid": (int, "resolution", {"certify": "samples_per_axis", "barrier-scan": "samples"}),
+    "--tolerance": (float, "tolerance",
+                    {"certify": "psd_tolerance", "geodesic-probe": "tolerance"}),
 }
 
 
@@ -533,9 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the run configuration")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        for flag, (kind, flag_help, commands) in _OVERRIDES.items():
-            if name in commands:
-                p.add_argument(flag, type=kind, default=None, help=flag_help)
+        for flag, (kind, flag_help, keys) in _OVERRIDES.items():
+            if name in keys:
+                p.add_argument(flag, type=kind, default=None,
+                               help=f"{flag_help}: overrides [{name}] {keys[name]}")
         p.add_argument("--no-timestamp", action="store_true",
                        help="suppress the leading timestamp line")
         p.add_argument("--structured", action="store_true",
@@ -545,15 +532,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Read the config, set the override flags' keys, run the handler, write its report."""
     args = build_parser().parse_args(argv)
+    report = Report(args.structured, not args.no_timestamp)
     try:
-        return args.handler(args)
-    except ToolkitError as exc:
+        cfg = Config.from_path(args.config)
+        for flag, (_, _, keys) in _OVERRIDES.items():
+            if (value := getattr(args, flag.lstrip("-"), None)) is not None:
+                section = cfg.sections.setdefault(args.command, {})
+                section[keys[args.command]] = ConfigValue([("token", repr(value))], flag, None)
+        code = args.handler(cfg, report)
+    except (ToolkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(report.render())
+    else:
+        sys.stdout.write(report.render())
+    return code
 
 
 if __name__ == "__main__":

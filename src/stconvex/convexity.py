@@ -27,6 +27,7 @@ row-major grid order, which also fixes the witness deterministically.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,6 +140,10 @@ class ConvexityQuery:
             raise ValueError(f"query region has {len(self.region)} axes, chart has {dimension}")
         if self.samples_per_axis < 2:
             raise ValueError("samples_per_axis must be at least 2")
+        if not 0.0 <= self.psd_tolerance < math.inf:
+            raise ValueError(f"psd_tolerance = {self.psd_tolerance!r} must be finite and >= 0")
+        if not 0.0 < self.c_search_ceiling < math.inf:
+            raise ValueError(f"c_search_ceiling = {self.c_search_ceiling!r} must be finite and > 0")
         for axis, (lo, hi) in enumerate(self.region):
             if not lo < hi:
                 raise ValueError(f"region axis {axis}: lo = {lo!r} is not below hi = {hi!r}")

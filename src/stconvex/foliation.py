@@ -85,12 +85,10 @@ def _tangent_basis(g, n):
     return basis
 
 
-def second_fundamental_form(f: ex.ScalarField, model: SpacetimeModel, p: Point,
-                            frame: LevelSetFrame | None = None) -> np.ndarray:
-    """K on the frame's tangent basis, per the module sign convention."""
+def second_fundamental_form(f: ex.ScalarField, model: SpacetimeModel, p: Point) -> np.ndarray:
+    """K on the tangent basis of level_set_frame at p, per the module sign convention."""
     metric_at = eval_metric(model, p)
-    if frame is None:
-        frame = level_set_frame(f, model, p, metric_at)
+    frame = level_set_frame(f, model, p, metric_at)
     h = covariant_hessian(f, model, p, metric_at=metric_at)
     basis = np.array([b.components for b in frame.tangent_basis])
     return -(basis @ h @ basis.T) / frame.norm

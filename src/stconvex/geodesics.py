@@ -24,6 +24,7 @@ c g(V, V) (a periodic function has no strictly convex parametrization).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,9 +76,6 @@ class Trajectory:
         """C such that the observed drift equals C * h^4."""
         return self.max_norm_drift / self.step_size ** 4
 
-    def final_state(self) -> GeodesicState:
-        return self.samples[-1][1]
-
 
 def integrate_geodesic(model: SpacetimeModel, s0: GeodesicState,
                        lambda_span: tuple[float, float],
@@ -87,11 +85,11 @@ def integrate_geodesic(model: SpacetimeModel, s0: GeodesicState,
     singular-locus guard, or a stage point or step end on the other side of
     a locus than the step's start, truncates the trajectory instead of
     raising."""
-    if not step > 0.0:
-        raise StepSizeInvalid(f"step must be positive, got {step!r}")
+    if not 0.0 < step < math.inf:
+        raise StepSizeInvalid(f"step must be positive and finite, got {step!r}")
     lam0, lam1 = float(lambda_span[0]), float(lambda_span[1])
-    if not lam1 > lam0:
-        raise StepSizeInvalid(f"empty parameter span {lambda_span!r}")
+    if not -math.inf < lam0 < lam1 < math.inf:
+        raise StepSizeInvalid(f"parameter span {lambda_span!r} is empty or not finite")
     evaluator = evaluator_for(model)
     d = model.dimension
     x = np.array(s0.position.coordinates, dtype=float)
@@ -187,6 +185,8 @@ def convexity_along_curve(f: ex.ScalarField, trajectory: Trajectory, c: float,
     acceleration of v."""
     if not trajectory.samples:
         raise ValueError("empty trajectory")
+    if not (math.isfinite(c) and math.isfinite(tolerance)):
+        raise ValueError(f"c = {c!r} and tolerance = {tolerance!r} must both be finite")
     model = trajectory.model
     evaluator = evaluator_for(model)
     margins = []
@@ -214,23 +214,24 @@ def convexity_along_curve(f: ex.ScalarField, trajectory: Trajectory, c: float,
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """A coordinate curve given by expressions in one parameter on [0, 1],
+    """A coordinate curve given by expressions in the parameter s on [0, 1],
     evaluated as one fused set: one compiled call per parameter value."""
 
     components: tuple[ex.Expr, ...]
     sources: tuple[str, ...]
-    parameter: str = "s"
 
     @classmethod
-    def from_texts(cls, texts, parameter="s", extra_symbols=()) -> "CurveSpec":
-        asts = tuple(ex.parse(t, (parameter,) + tuple(extra_symbols)) for t in texts)
-        return cls(asts, tuple(texts), parameter)
+    def from_texts(cls, texts, extra_symbols=()) -> "CurveSpec":
+        asts = tuple(ex.parse(t, ("s",) + tuple(extra_symbols)) for t in texts)
+        return cls(asts, tuple(texts))
 
-    def jets(self, s: float, parameters=None):
-        """position, ds, dss arrays at parameter value s (exact jets)."""
-        flat = ex.compile_jet2(self.components, (self.parameter,), parameters)(float(s))
-        # each component contributes (value, d/ds, d2/ds2)
-        return np.array(flat[0::3]), np.array(flat[1::3]), np.array(flat[2::3])
+    def jets(self, s, parameters=None):
+        """Exact position, d/ds and d2/ds2 at each s of a 1-D sequence, as (len(s), d) arrays."""
+        fn = ex.compile_jet2(self.components, ("s",), parameters)  # one lookup per call
+        # per s, each component contributes (value, d/ds, d2/ds2); the three
+        # arrays are copied out so that their rows are contiguous vectors
+        flat = np.array([fn(float(v)) for v in s]).reshape(len(s), len(self.components), 3)
+        return tuple(np.ascontiguousarray(flat[:, :, k]) for k in range(3))
 
 
 @dataclass(frozen=True)
@@ -252,23 +253,24 @@ def closed_curve_probe(f: ex.ScalarField, model: SpacetimeModel, curve: CurveSpe
                        c: float, n_samples: int = 256,
                        tolerance: float = 1e-10) -> ClosedCurveReport:
     """Evaluate d^2(f o gamma)/ds^2 - c g(gamma', gamma') around the loop."""
-    params = model.parameters
-    start, _, _ = curve.jets(0.0, params)
-    end, _, _ = curve.jets(1.0, params)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
+    if not (math.isfinite(c) and math.isfinite(tolerance)):
+        raise ValueError(f"c = {c!r} and tolerance = {tolerance!r} must both be finite")
+    (start, end), _, _ = curve.jets((0.0, 1.0), model.parameters)
     if float(np.max(np.abs(end - start))) > 1e-9:
         raise NotClosed(f"curve endpoints differ by {np.max(np.abs(end - start)):.3e}")
     if len(start) != model.dimension:
         raise ValueError("curve dimension does not match the chart")
     evaluator = evaluator_for(model)
     grid = np.linspace(0.0, 1.0, n_samples, endpoint=False)
-    positions = [curve.jets(float(s), params) for s in grid]
-    spread = max(float(np.max(np.abs(pos - start))) for pos, _, _ in positions)
-    if spread < 1e-12:
+    positions, ds, dss = curve.jets(grid, model.parameters)
+    if float(np.max(np.abs(positions - start))) < 1e-12:
         raise NotClosed("degenerate loop: all samples coincide")
     min_margin = np.inf
     argmin = 0.0
     min_hess_margin = np.inf
-    for s, (pos, d1, d2) in zip(grid, positions):
+    for s, pos, d1, d2 in zip(grid, positions, ds, dss):
         p = Point(pos)
         metric_at = evaluator.metric_at(p, checks=False)
         jet = field_jet(f, model, p)

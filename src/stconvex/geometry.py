@@ -191,8 +191,8 @@ def _sign_counts(eigenvalues, tol=SIGNATURE_TOL):
     return negative, zero, len(eigenvalues) - negative - zero
 
 
-def is_lorentzian(matrix, tol=SIGNATURE_TOL) -> bool:
-    negative, zero, positive = _signature_counts(matrix, tol)
+def is_lorentzian(matrix) -> bool:
+    negative, zero, positive = _signature_counts(matrix)
     return negative == 1 and zero == 0 and positive == matrix.shape[0] - 1
 
 
@@ -361,8 +361,7 @@ def covariant_hessian(f: ex.ScalarField, model: SpacetimeModel, p: Point,
     return covariant_hessian_from(jet.gradient, jet.hessian, metric_at.christoffels)
 
 
-def classify_vector(metric_at: MetricAt, v: TangentVector,
-                    null_tol=NULL_TOL) -> VectorClass:
+def classify_vector(metric_at: MetricAt, v: TangentVector) -> VectorClass:
     """Causal character of V from the sign of g(V, V)."""
     if v.base != metric_at.point:
         raise ValueError("vector is not based at the metric's point")
@@ -370,27 +369,26 @@ def classify_vector(metric_at: MetricAt, v: TangentVector,
     if comps.shape[0] != metric_at.g.shape[0]:
         raise ValueError("vector dimension does not match the chart")
     q = float(comps @ metric_at.g @ comps)
-    if abs(q) <= null_tol:
+    if abs(q) <= NULL_TOL:
         return VectorClass.NULL
     return VectorClass.TIMELIKE if q < 0 else VectorClass.SPACELIKE
 
 
-def gradient_invariant(f: ex.ScalarField, model: SpacetimeModel, p: Point,
-                       null_tol=NULL_TOL) -> tuple[int, float]:
+def gradient_invariant(f: ex.ScalarField, model: SpacetimeModel, p: Point) -> tuple[int, float]:
     """(eps, norm) with eps = sign of grad f . grad f and norm = sqrt(eps *
     grad f . grad f); raises NullGradient when the gradient is null."""
-    _, _, eps, norm, _ = _gradient_data(f, model, p, null_tol=null_tol)
+    _, _, eps, norm, _ = _gradient_data(f, model, p)
     return eps, norm
 
 
-def _gradient_data(f, model, p, metric_at=None, null_tol=NULL_TOL):
+def _gradient_data(f, model, p, metric_at=None):
     """(jet, metric_at, eps, norm, raised gradient) shared by level-set code."""
     if metric_at is None:
         metric_at = eval_metric(model, p)
     jet = field_jet(f, model, p)
     grad_up = metric_at.g_inverse @ jet.gradient
     q = float(jet.gradient @ grad_up)
-    if abs(q) < null_tol:
+    if abs(q) < NULL_TOL:
         raise NullGradient(f"grad f . grad f = {q:.3e} at {p.coordinates}; "
                            "the level set is degenerate there")
     eps = 1 if q > 0 else -1

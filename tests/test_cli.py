@@ -434,8 +434,21 @@ loop[x] = "cos(s)", "sin(s)"
 loop[y] = "sin(s)"
 loop[z] = "0"
 """, "loop[x]", "expects a single value"),
+    ("certify", CERTIFY_TEMPLATE.format(alpha=0.5).replace("= 3", "= 2.9"),
+     "samples_per_axis", "must be a whole number, got 2.9"),
+    ("barrier-scan", "[barrier-scan]\nM = 1.0\nr_lo = 0.5\nr_hi = 1.9\nsamples = inf\n",
+     "samples", "non-finite 'inf'"),
+    ("certify", CERTIFY_TEMPLATE.format(alpha=0.5) + "psd_tolerance = nan\n",
+     "psd_tolerance", "non-finite 'nan'"),
+    ("geodesic-probe", GEODESIC_TEMPLATE.format(
+        field="builtin = canonical\nalpha = 1.0", velocity="0, 1, 0, 0").replace(
+        "c = 1.0", "c = nan"), "c", "non-finite 'nan'"),
+    ("geodesic-probe", GEODESIC_TEMPLATE.format(
+        field="builtin = canonical\nalpha = 1.0", velocity="0, 1, 0, 0").replace(
+        "span = 0, 1", "span = 0, inf"), "span", "non-finite 'inf'"),
 ], ids=["param-not-a-number", "param-two-values", "box-not-a-number",
-        "point-not-a-number", "loop-two-payloads"])
+        "point-not-a-number", "loop-two-payloads", "grid-not-whole", "samples-infinite",
+        "tolerance-nan", "c-nan", "span-infinite"])
 def test_numbers_and_single_values_name_key_and_line(tmp_path, capsys, command, text, key,
                                                      message):
     """Every number and single-valued key goes through one checked
@@ -447,3 +460,43 @@ def test_numbers_and_single_values_name_key_and_line(tmp_path, capsys, command, 
     assert code == 1
     assert f"error: line {line}: " in err
     assert message in err and f"'{key}'" in err
+
+
+@pytest.mark.parametrize("command, flag, key, value", [
+    ("certify", "--grid", "samples_per_axis", "2"),
+    ("certify", "--tolerance", "psd_tolerance", "1e-08"),
+    ("barrier-scan", "--grid", "samples", "7"),
+    ("geodesic-probe", "--tolerance", "tolerance", "0.5"),
+])
+def test_override_flag_is_the_value_of_its_key(tmp_path, capsys, command, flag, key, value):
+    """A flag sets the key it overrides, over the config's own value: the run
+    is byte for byte the run with the key set to the flag's value."""
+    base = {
+        "certify": CERTIFY_TEMPLATE.format(alpha=0.5).replace("samples_per_axis = 3\n", ""),
+        "barrier-scan": "[barrier-scan]\nM = 1.0\nr_lo = 0.5\nr_hi = 1.9\n",
+        # min_margin -1: the tolerance decides the exit code
+        "geodesic-probe": GEODESIC_TEMPLATE.format(field='expression = "5"',
+                                                   velocity="0, 1, 0, 0"),
+    }[command]
+    flagged = write(tmp_path, "flagged.cfg", base + f"{key} = 4\n")
+    keyed = write(tmp_path, "keyed.cfg", base + f"{key} = {value}\n")
+    common = ("--no-timestamp", "--structured")
+    by_flag = run(capsys, command, "--config", flagged, flag, value, *common)
+    by_key = run(capsys, command, "--config", keyed, *common)
+    assert by_flag == by_key
+    assert by_flag[0] in (0, 2) and by_flag[1]
+
+
+def test_override_flags_are_values_not_fallbacks(tmp_path, capsys):
+    """0 is a value: --grid 0 is refused by the query, --tolerance 0 is
+    used; a non-finite flag value is refused naming the flag."""
+    cfg = write(tmp_path, "c.cfg", CERTIFY_TEMPLATE.format(alpha=0.5))
+    code, out, err = run(capsys, "certify", "--config", cfg, "--grid", "0")
+    assert code == 1 and out == ""
+    assert "samples_per_axis must be at least 2" in err
+    code, out, _ = run(capsys, "certify", "--config", cfg, "--no-timestamp", "--structured",
+                       "--tolerance", "0")
+    assert code == 0 and "psd_tolerance = 0\n" in out
+    code, _, err = run(capsys, "certify", "--config", cfg, "--tolerance", "nan")
+    assert code == 1
+    assert "non-finite 'nan' in '--tolerance'" in err

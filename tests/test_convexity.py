@@ -1,5 +1,7 @@
 """Admissible-c intervals, Hessian signatures, and region certification."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,19 @@ def test_certify_invalid_region_rejected_before_scan():
 def test_certify_too_few_samples_rejected():
     query = ConvexityQuery(region=BOX, samples_per_axis=1)
     with pytest.raises(ValueError):
+        certify_region(MINK, canonical_field(0.5), query)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("psd_tolerance", -1e-10), ("psd_tolerance", math.nan), ("psd_tolerance", math.inf),
+    ("c_search_ceiling", 0.0), ("c_search_ceiling", -1.0), ("c_search_ceiling", math.nan),
+    ("c_search_ceiling", math.inf),
+])
+def test_certify_rejects_unusable_tolerance_and_ceiling(name, value):
+    """A NaN tolerance would turn the certifiable alpha = 0.5 field into
+    'violated'; the query is refused before the scan instead."""
+    query = ConvexityQuery(region=BOX, samples_per_axis=2, **{name: value})
+    with pytest.raises(ValueError, match=name):
         certify_region(MINK, canonical_field(0.5), query)
 
 

@@ -178,7 +178,7 @@ def test_trace_of_form_equals_mean_curvature(rng):
         for _ in range(4):
             p = Point(random_point_in(model.sample_box, rng))
             frame = level_set_frame(f, model, p)
-            k = second_fundamental_form(f, model, p, frame)
+            k = second_fundamental_form(f, model, p)
             basis = np.array([b.components for b in frame.tangent_basis])
             induced = basis @ eval_metric(model, p).g @ basis.T
             trace = float(np.einsum("ij,ij->", np.linalg.inv(induced), k))

@@ -61,6 +61,16 @@ def test_step_must_be_positive():
         integrate_geodesic(MINK, state, (1.0, 1.0), step=0.1)
 
 
+@pytest.mark.parametrize("span, step", [((0.0, math.inf), 0.1), ((-math.inf, 1.0), 0.1),
+                                        ((0.0, math.nan), 0.1), ((0.0, 1.0), math.inf)])
+def test_span_and_step_must_be_finite(span, step):
+    """A span end or step that is not finite is refused before any step,
+    never an OverflowError or a one-sample trajectory."""
+    state = GeodesicState.of((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
+    with pytest.raises(StepSizeInvalid, match="finite"):
+        integrate_geodesic(MINK, state, span, step=step)
+
+
 def test_lambda_samples_strictly_increasing():
     state = GeodesicState.of((0.0, 0.0, 0.0, 0.0), (1.0, 0.5, 0.0, 0.0))
     trajectory = integrate_geodesic(MINK, state, (0.0, 0.35), step=0.1)
@@ -257,7 +267,7 @@ def test_curve_jets_bit_identical_to_per_component_jets(s):
     curve = CurveSpec.from_texts(
         ("0.5*s", f"R*cos({TWO_PI!r}*s)", f"R*sin({TWO_PI!r}*s)^3", "exp(-s)*s^2"),
         extra_symbols=("R",))
-    pos, d1, d2 = curve.jets(s, {"R": 1.7})
+    (pos,), (d1,), (d2,) = curve.jets([s], {"R": 1.7})
     jets = [eval_jet2(node, ("s",), (s,), {"R": 1.7}) for node in curve.components]
     assert pos.tolist() == [jet.value for jet in jets]
     assert d1.tolist() == [jet.gradient[0] for jet in jets]
@@ -267,7 +277,7 @@ def test_curve_jets_bit_identical_to_per_component_jets(s):
 def test_curve_jets_name_the_failing_component():
     curve = CurveSpec.from_texts(("0", "s", "log(s)", "0"))
     with pytest.raises(DomainError, match=r"while evaluating 'log\(s\)' at \(0\.0,\)"):
-        curve.jets(0.0)
+        curve.jets([0.0])
 
 
 def test_closed_curve_on_singular_metric_raises():
@@ -279,6 +289,33 @@ def test_closed_curve_on_singular_metric_raises():
     curve = CurveSpec.from_texts(("0", f"cos({TWO_PI!r}*s)", f"sin({TWO_PI!r}*s)", "0"))
     with pytest.raises(SingularMetric):
         closed_curve_probe(canonical_field(1.0), degenerate, curve, c=1.0, n_samples=8)
+
+
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_closed_curve_probe_needs_a_sample(n_samples):
+    curve = CurveSpec.from_texts(("0", f"cos({TWO_PI!r}*s)", f"sin({TWO_PI!r}*s)", "0"))
+    with pytest.raises(ValueError, match="n_samples"):
+        closed_curve_probe(canonical_field(1.0), MINK, curve, c=1.0, n_samples=n_samples)
+
+
+NON_FINITE_MARGIN_INPUTS = pytest.mark.parametrize("c, tolerance", [
+    (math.nan, 1e-10), (math.inf, 1e-10), (1.0, math.nan), (1.0, math.inf)])
+
+
+@NON_FINITE_MARGIN_INPUTS
+def test_convexity_along_curve_rejects_non_finite_inputs(c, tolerance):
+    """A NaN c or tolerance is refused, not reported as min_margin nan."""
+    state = GeodesicState.of((0.0, 0.2, -0.4, 0.1), (0.0, 1.0, 0.0, 0.0))
+    trajectory = integrate_geodesic(MINK, state, (0.0, 1.0), step=0.1)
+    with pytest.raises(ValueError, match="must both be finite"):
+        convexity_along_curve(canonical_field(1.0), trajectory, c, tolerance)
+
+
+@NON_FINITE_MARGIN_INPUTS
+def test_closed_curve_probe_rejects_non_finite_inputs(c, tolerance):
+    curve = CurveSpec.from_texts(("0", f"cos({TWO_PI!r}*s)", f"sin({TWO_PI!r}*s)", "0"))
+    with pytest.raises(ValueError, match="must both be finite"):
+        closed_curve_probe(canonical_field(1.0), MINK, curve, c, 8, tolerance)
 
 
 def test_open_curve_rejected():
