@@ -33,7 +33,6 @@ def _minkowski_spherical():
         components={(0, 0): "-1", (1, 1): "1", (2, 2): "r^2",
                     (3, 3): "r^2*sin(theta)^2"},
         singular_loci=("r", "sin(theta)"),
-        singular_locus_description="coordinate axis r = 0 and the poles sin(theta) = 0",
         sample_box=((-1.0, 1.0), (0.5, 2.0), (0.5, 2.5), (0.1, 6.0)),
         block_form=((0, 1), "r", (1.0, 0.0)),
     )
@@ -52,7 +51,6 @@ def _schwarzschild(interior: bool):
                     (2, 2): "r^2", (3, 3): "r^2*sin(theta)^2"},
         parameters={"M": 1.0},
         singular_loci=("r", "r - 2*M", "sin(theta)"),
-        singular_locus_description="curvature singularity r = 0, horizon r = 2M, poles",
         sample_box=box,
         block_form=((0, 1), "r", future),
     )
@@ -66,7 +64,6 @@ def _milne():
                     (2, 2): "tau^2*sinh(chi)^2",
                     (3, 3): "tau^2*sinh(chi)^2*sin(theta)^2"},
         singular_loci=("tau", "sinh(chi)", "sin(theta)"),
-        singular_locus_description="big-bang vertex tau = 0 plus the chi/theta axes",
         sample_box=((0.5, 3.0), (0.3, 2.0), (0.5, 2.5), (0.1, 6.0)),
         block_form=((0, 1), "tau*sinh(chi)", (1.0, 0.0)),
     )

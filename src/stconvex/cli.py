@@ -50,7 +50,8 @@ or comma lists. Every value, a missing key's default included, takes one
 checked conversion whose errors name the key and its line: numbers must be
 finite and counts whole. --grid and --tolerance set the key they override
 and take its conversion. Handlers read a Config and fill a Report; main
-alone reads the file, writes the report and turns errors into exit 1.
+alone checks --out's directory, reads the file, writes the report and
+turns errors, a failed write included, into exit 1.
 Reports are deterministic for a given config apart from the leading
 timestamp line, which --no-timestamp suppresses; CSV uses '.' as the
 decimal separator and 17 significant digits.
@@ -60,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -90,19 +92,19 @@ def _fmt(x) -> str:
 # --------------------------------------------------------------------------
 
 class ConfigValue:
-    """A key's items and line; every conversion error names both."""
+    """A key's texts and line; every conversion error names both."""
 
-    __slots__ = ("items", "key", "line")
+    __slots__ = ("texts", "key", "line")
 
-    def __init__(self, items, key, line):
-        self.items = items  # list of ("expr" | "token", text)
+    def __init__(self, texts, key, line):
+        self.texts = texts
         self.key = key
         self.line = line
 
     def single(self) -> str:
-        if len(self.items) != 1:
+        if len(self.texts) != 1:
             raise ConfigError(f"'{self.key}' expects a single value", self.line)
-        return self.items[0][1]
+        return self.texts[0]
 
     def number(self) -> float:
         return self._float(self.single())
@@ -114,7 +116,7 @@ class ConfigValue:
         return int(value)
 
     def numbers(self) -> list[float]:
-        return [self._float(text) for _, text in self.items]
+        return [self._float(text) for text in self.texts]
 
     def _float(self, text) -> float:
         try:
@@ -144,7 +146,7 @@ def _split_value(text, lineno):
             in_quotes = True
             was_quoted = True
         elif ch == ",":
-            items.append(("expr" if was_quoted else "token", "".join(buf).strip()))
+            items.append("".join(buf).strip())
             buf = []
             was_quoted = False
         else:
@@ -153,7 +155,7 @@ def _split_value(text, lineno):
         raise ConfigError("unterminated quote", lineno)
     last = "".join(buf).strip()
     if last or was_quoted or items:
-        items.append(("expr" if was_quoted else "token", last))
+        items.append(last)
     if not items:
         raise ConfigError("empty value", lineno)
     return items
@@ -221,7 +223,7 @@ class Config:
             return sec[key]
         if default is None:
             raise ConfigError(f"missing '{key}' in [{section}]")
-        return ConfigValue([("token", default)], key, None)
+        return ConfigValue([default], key, None)
 
     def scalar(self, section, key) -> str:
         return self.value(section, key).single()
@@ -264,7 +266,7 @@ def resolve_model(cfg: Config) -> SpacetimeModel:
     if cfg.has("model", "builtin"):
         name = cfg.scalar("model", "builtin")
         return builtin_models().model(name, **overrides)
-    coords = [text for _, text in cfg.value("model", "coordinates").items]
+    coords = cfg.value("model", "coordinates").texts
     components = {}
     for inner, v in cfg.bracketed("model", "g").items():
         pair = [s.strip() for s in inner.split(",")]
@@ -273,7 +275,7 @@ def resolve_model(cfg: Config) -> SpacetimeModel:
         components[(coords.index(pair[0]), coords.index(pair[1]))] = v.single()
     loci = ()
     if cfg.has("model", "singular_loci"):
-        loci = tuple(text for _, text in cfg.value("model", "singular_loci").items)
+        loci = tuple(cfg.value("model", "singular_loci").texts)
     return SpacetimeModel.from_components(
         name="inline", coordinate_names=coords, components=components,
         parameters=overrides, singular_loci=loci)
@@ -532,24 +534,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Read the config, set the override flags' keys, run the handler, write its report."""
+    """Check --out's directory, read the config, set the override flags' keys,
+    run the handler, write its report."""
     args = build_parser().parse_args(argv)
     report = Report(args.structured, not args.no_timestamp)
     try:
+        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise ConfigError(f"cannot write report: no directory for --out {args.out!r}")
         cfg = Config.from_path(args.config)
         for flag, (_, _, keys) in _OVERRIDES.items():
             if (value := getattr(args, flag.lstrip("-"), None)) is not None:
                 section = cfg.sections.setdefault(args.command, {})
-                section[keys[args.command]] = ConfigValue([("token", repr(value))], flag, None)
+                section[keys[args.command]] = ConfigValue([repr(value)], flag, None)
         code = args.handler(cfg, report)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as handle:
+                    handle.write(report.render())
+            except OSError as exc:
+                raise ConfigError(f"cannot write report: {exc}") from None
+        else:
+            sys.stdout.write(report.render())
     except (ToolkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report.render())
-    else:
-        sys.stdout.write(report.render())
     return code
 
 

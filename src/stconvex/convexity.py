@@ -138,8 +138,9 @@ class ConvexityQuery:
     def validate(self, dimension: int):
         if len(self.region) != dimension:
             raise ValueError(f"query region has {len(self.region)} axes, chart has {dimension}")
-        if self.samples_per_axis < 2:
-            raise ValueError("samples_per_axis must be at least 2")
+        if not isinstance(self.samples_per_axis, (int, np.integer)) or self.samples_per_axis < 2:
+            raise ValueError(f"samples_per_axis must be at least 2 and an int, "
+                             f"got {self.samples_per_axis!r}")
         if not 0.0 <= self.psd_tolerance < math.inf:
             raise ValueError(f"psd_tolerance = {self.psd_tolerance!r} must be finite and >= 0")
         if not 0.0 < self.c_search_ceiling < math.inf:

@@ -127,15 +127,15 @@ class BarrierScanResult:
 def barrier_scan(m: float, r_lo: float, r_hi: float, n: int) -> BarrierScanResult:
     if not 0.0 < r_lo < r_hi < 2.0 * m:
         raise OutOfDomain(f"scan range [{r_lo!r}, {r_hi!r}] must sit inside (0, 2M), M = {m!r}")
-    if n < 2:
-        raise OutOfDomain("need at least 2 samples")
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise OutOfDomain(f"n must be at least 2 and an int, got {n!r}")
     radii = np.linspace(r_lo, r_hi, n)
     values = [schwarzschild_trk(float(r), m) for r in radii]
     crossings = []
-    for i in range(n - 1):
+    for i in range(n):
         if values[i] == 0.0:
             crossings.append((float(radii[max(i - 1, 0)]), float(radii[min(i + 1, n - 1)])))
-        elif values[i] * values[i + 1] < 0.0:
+        elif i + 1 < n and values[i] * values[i + 1] < 0.0:
             crossings.append((float(radii[i]), float(radii[i + 1])))
     barrier = 1.5 * m
     ok = all(v > 0.0 for r, v in zip(radii, values) if r < barrier) and \

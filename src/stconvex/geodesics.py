@@ -15,8 +15,9 @@ The probes evaluate the pointwise margin
     m(lam) = V^mu V^nu nabla_mu nabla_nu f - c g(V, V)
            = V . dd f . V + a . df - c g(V, V)
 
-with V the curve tangent and a its geodesic acceleration, so the margin
-needs only the field jet and (g, dg). For a field certified with constant
+with V the curve tangent and a its geodesic acceleration. Both probes take
+it from one helper that needs only the field jet and (g, dg), so this
+module forms neither g^{-1} nor Gamma. For a field certified with constant
 c, the margin is nonnegative along every geodesic, and no closed spacelike
 loop can keep the *full* second derivative of f along the curve above
 c g(V, V) (a periodic function has no strictly convex parametrization).
@@ -32,8 +33,7 @@ import numpy as np
 from . import expressions as ex
 from .errors import NotClosed, SingularMetric, StepSizeInvalid, ToolkitError
 from .geometry import (Point, SpacetimeModel, TangentVector, VectorClass,
-                       classify_vector, covariant_hessian_from, evaluator_for, field_jet,
-                       geodesic_acceleration)
+                       classify_vector, evaluator_for, field_jet, geodesic_acceleration)
 
 DEFAULT_STEP = 1e-3
 
@@ -161,6 +161,16 @@ def integrate_geodesic(model: SpacetimeModel, s0: GeodesicState,
                       truncation_lambda=stop_lambda, truncation_locus=stop_locus)
 
 
+def _hessian_margin(evaluator, f, model, p, v, c):
+    """(v^mu v^nu nabla_mu nabla_nu f - c g(v, v), field jet, unchecked MetricAt) at p,
+    the first term as v . dd f . v + a . df with a = geodesic_acceleration(g, dg, v)."""
+    metric_at = evaluator.metric_at(p, checks=False)
+    jet = field_jet(f, model, p)
+    accel = geodesic_acceleration(metric_at.g, metric_at.first_derivatives, v)
+    margin = float(v @ jet.hessian @ v + accel @ jet.gradient - c * (v @ metric_at.g @ v))
+    return margin, jet, metric_at
+
+
 @dataclass(frozen=True)
 class MarginReport:
     """Pointwise convexity margins along a trajectory."""
@@ -180,9 +190,7 @@ class MarginReport:
 
 def convexity_along_curve(f: ex.ScalarField, trajectory: Trajectory, c: float,
                           tolerance: float = 1e-10) -> MarginReport:
-    """m(lam) = v^mu v^nu nabla_mu nabla_nu f - c g(v, v) at every sample,
-    taken as v . dd f . v + a . df - c g(v, v) with a the geodesic
-    acceleration of v."""
+    """m(lam) = v^mu v^nu nabla_mu nabla_nu f - c g(v, v) at every sample."""
     if not trajectory.samples:
         raise ValueError("empty trajectory")
     if not (math.isfinite(c) and math.isfinite(tolerance)):
@@ -191,16 +199,12 @@ def convexity_along_curve(f: ex.ScalarField, trajectory: Trajectory, c: float,
     evaluator = evaluator_for(model)
     margins = []
     for (lam, state) in trajectory.samples:
-        p = state.position
-        metric_at = evaluator.metric_at(p, checks=False)
-        jet = field_jet(f, model, p)
-        vel = state.velocity.array()
-        accel = geodesic_acceleration(metric_at.g, metric_at.first_derivatives, vel)
-        margins.append(float(vel @ jet.hessian @ vel + accel @ jet.gradient
-                             - c * (vel @ metric_at.g @ vel)))
+        margin, _, metric_at = _hessian_margin(evaluator, f, model, state.position,
+                                               state.velocity.array(), c)
+        margins.append(margin)
+        if len(margins) == 1:
+            initial_class = classify_vector(metric_at, state.velocity)
     idx = int(np.argmin(margins))
-    lam0, state0 = trajectory.samples[0]
-    first_metric = evaluator.metric_at(state0.position, checks=False)
     return MarginReport(
         margins=tuple(margins),
         min_margin=margins[idx],
@@ -208,7 +212,7 @@ def convexity_along_curve(f: ex.ScalarField, trajectory: Trajectory, c: float,
         argmin_point=trajectory.samples[idx][1].position,
         c=c,
         tolerance=tolerance,
-        initial_class=classify_vector(first_metric, state0.velocity),
+        initial_class=initial_class,
     )
 
 
@@ -253,8 +257,8 @@ def closed_curve_probe(f: ex.ScalarField, model: SpacetimeModel, curve: CurveSpe
                        c: float, n_samples: int = 256,
                        tolerance: float = 1e-10) -> ClosedCurveReport:
     """Evaluate d^2(f o gamma)/ds^2 - c g(gamma', gamma') around the loop."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1 and an int, got {n_samples!r}")
     if not (math.isfinite(c) and math.isfinite(tolerance)):
         raise ValueError(f"c = {c!r} and tolerance = {tolerance!r} must both be finite")
     (start, end), _, _ = curve.jets((0.0, 1.0), model.parameters)
@@ -271,19 +275,14 @@ def closed_curve_probe(f: ex.ScalarField, model: SpacetimeModel, curve: CurveSpe
     argmin = 0.0
     min_hess_margin = np.inf
     for s, pos, d1, d2 in zip(grid, positions, ds, dss):
-        p = Point(pos)
-        metric_at = evaluator.metric_at(p, checks=False)
-        jet = field_jet(f, model, p)
+        hess_margin, jet, metric_at = _hessian_margin(evaluator, f, model, Point(pos), d1, c)
         # full second derivative along the curve: plain partials plus the
         # acceleration term (chart covariance is automatic in this form)
-        second = float(d1 @ jet.hessian @ d1 + jet.gradient @ d2)
-        gvv = float(d1 @ metric_at.g @ d1)
-        margin = second - c * gvv
+        margin = float(d1 @ jet.hessian @ d1 + jet.gradient @ d2) - c * float(d1 @ metric_at.g @ d1)
         if margin < min_margin:
             min_margin = margin
             argmin = float(s)
-        hess = covariant_hessian_from(jet.gradient, jet.hessian, metric_at.christoffels)
-        min_hess_margin = min(min_hess_margin, float(d1 @ hess @ d1 - c * gvv))
+        min_hess_margin = min(min_hess_margin, hess_margin)
     return ClosedCurveReport(
         obstructed=min_margin < -tolerance,
         min_margin=float(min_margin),

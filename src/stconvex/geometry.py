@@ -74,7 +74,6 @@ class BlockForm:
 
     base_indices: tuple[int, int]
     area_radius: ex.Expr
-    area_radius_source: str
     future: tuple[float, float]
 
 
@@ -92,17 +91,14 @@ class SpacetimeModel:
     dimension: int
     coordinate_names: tuple[str, ...]
     components: tuple[tuple[ex.Expr, ...], ...]
-    component_sources: tuple[tuple[str, ...], ...]
     parameters: dict[str, float] = field(default_factory=dict)
     singular_loci: tuple[ex.Expr, ...] = ()
-    singular_locus_description: str = ""
     sample_box: tuple[tuple[float, float], ...] | None = None
     block_form: BlockForm | None = None
 
     @classmethod
     def from_components(cls, name, coordinate_names, components, parameters=None,
-                        singular_loci=(), singular_locus_description="",
-                        sample_box=None, block_form=None):
+                        singular_loci=(), sample_box=None, block_form=None):
         """Build a model from a dict mapping (i, j) index pairs (upper triangle
         suffices) to component source text. Unlisted components are zero."""
         coords = tuple(coordinate_names)
@@ -113,24 +109,17 @@ class SpacetimeModel:
         declared = coords + tuple(parameters)
         zero = ex.Num(0.0)
         asts = [[zero] * dim for _ in range(dim)]
-        sources = [["0"] * dim for _ in range(dim)]
         for (i, j), text in components.items():
-            node = ex.parse(text, declared)
-            asts[i][j] = node
-            asts[j][i] = node
-            sources[i][j] = text
-            sources[j][i] = text
+            asts[i][j] = asts[j][i] = ex.parse(text, declared)
         loci = tuple(ex.parse(t, declared) for t in singular_loci)
         bf = None
         if block_form is not None:
             base, radius_text, future = block_form
-            bf = BlockForm(tuple(base), ex.parse(radius_text, declared), radius_text,
+            bf = BlockForm(tuple(base), ex.parse(radius_text, declared),
                            tuple(float(c) for c in future))
         return cls(name=name, dimension=dim, coordinate_names=coords,
                    components=tuple(tuple(row) for row in asts),
-                   component_sources=tuple(tuple(row) for row in sources),
                    parameters=parameters, singular_loci=loci,
-                   singular_locus_description=singular_locus_description,
                    sample_box=tuple(sample_box) if sample_box else None, block_form=bf)
 
     def with_parameters(self, **overrides) -> "SpacetimeModel":
@@ -156,14 +145,14 @@ class MetricAt:
     point: Point
     g: np.ndarray
     first_derivatives: np.ndarray  # dg[lam, mu, nu] = d_lam g_{mu nu}
-    #: (g^{-1}, Gamma) once built; charts with constant components pass it in
-    connection: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    #: (g^{-1}, Gamma) once built
+    _connection: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def _solved(self):
-        if self.connection is None:
-            object.__setattr__(self, "connection", _inverse_and_christoffels(
+        if self._connection is None:
+            object.__setattr__(self, "_connection", _inverse_and_christoffels(
                 self.g, self.first_derivatives, self.point.coordinates))
-        return self.connection
+        return self._connection
 
     @property
     def g_inverse(self) -> np.ndarray:
@@ -203,8 +192,6 @@ class MetricEvaluator:
     components, whose values and gradients two precomputed index arrays
     scatter into g and dg, and the singular loci, kept apart so that the
     guard fires before a component undefined at a locus can raise.
-    Constant-component charts (e.g. flat space in Cartesian coordinates) are
-    short-circuited entirely.
     """
 
     def __init__(self, model: SpacetimeModel):
@@ -230,8 +217,6 @@ class MetricEvaluator:
         self._dg_index = self._g_index[None, :, :] + 1 + np.arange(d)[:, None, None]
         self._loci = tuple(model.singular_loci)
         self._locus_values = ex.compile_value(self._loci, self.names, self.params)
-        self._constant = all(isinstance(node, ex.Num) for node in unique)
-        self._const_data = None
 
     def guard(self, coords):
         """Raise SingularMetric when within the declared locus guard; every
@@ -263,11 +248,8 @@ class MetricEvaluator:
         if len(coords) != self.dim:
             raise ValueError(f"point has {len(coords)} coordinates, chart has {self.dim}")
         self.guard(coords)
-        if self._constant and self._const_data is not None:
-            g, dg, connection = self._const_data
-            return MetricAt(point, g, dg, connection)
         g, dg = self.components(coords)
-        if checks or self._constant:
+        if checks:
             # one eigendecomposition gives all three checks: for a symmetric g,
             # det is the product of the eigenvalues and the 2-norm condition
             # number is max |lambda| / min |lambda|
@@ -285,9 +267,6 @@ class MetricEvaluator:
             if not math.isfinite(cond) or cond > CONDITION_CAP:
                 raise SingularMetric(f"metric condition estimate {cond:.3e} exceeds "
                                      f"{CONDITION_CAP:.0e} at {coords}")
-        if self._constant:
-            self._const_data = (g, dg, _inverse_and_christoffels(g, dg, coords))
-            return MetricAt(point, g, dg, self._const_data[2])
         return MetricAt(point, g, dg)
 
 

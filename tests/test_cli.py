@@ -500,3 +500,74 @@ def test_override_flags_are_values_not_fallbacks(tmp_path, capsys):
     code, _, err = run(capsys, "certify", "--config", cfg, "--tolerance", "nan")
     assert code == 1
     assert "non-finite 'nan' in '--tolerance'" in err
+
+
+def test_out_into_missing_directory_fails_before_the_work(tmp_path, capsys):
+    """--out's directory is checked before the config is read: the config
+    here is missing, and the error names the report path, not the config."""
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "barrier-scan", "--config", str(tmp_path / "nope.cfg"),
+                         "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write report:") and repr(str(target)) in err
+    assert not target.parent.exists()
+
+
+def test_out_write_failure_exits_1_naming_the_path(tmp_path, capsys):
+    cfg = write(tmp_path, "b.cfg", "[barrier-scan]\nM = 1.0\nr_lo = 0.5\nr_hi = 1.9\n")
+    target = tmp_path / "a-directory"
+    target.mkdir()
+    code, out, err = run(capsys, "barrier-scan", "--config", cfg, "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write report:") and str(target) in err
+
+
+_CANONICAL = "builtin = canonical\nalpha = 0.5\n"
+_FIELD = "[field]\n" + _CANONICAL
+_INLINE_TX = '[model]\ncoordinates = t, x\ng[t,t] = "-1"\ng[x,x] = "1"\n'
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("certify", '[model]\nbuiltin = ab"cd"\n', "line 2: unexpected quote inside a value"),
+    ("certify", '[model]\nbuiltin = "milne\n', "line 2: unterminated quote"),
+    ("certify", "[model]\nbuiltin =\n", "line 2: empty value"),
+    ("certify", "\n[model\n", "line 2: malformed section header"),
+    ("certify", "builtin = milne\n", "line 1: key outside any [section]"),
+    ("certify", "[model]\n= milne\n", "line 2: empty key"),
+    ("certify", "[model]\nbuiltin = milne\nbuiltin = milne\n", "line 3: duplicate key 'builtin'"),
+    ("barrier-scan", "[barrier-scan]\nr_lo = 0.5\nr_hi = 1.9\n",
+     "missing 'M' in [barrier-scan]"),
+    ("slice-probe", "[model]\nbuiltin = minkowski-cartesian\n" + _FIELD
+     + "[slice-probe]\ncoordinate = t\nvalue = 0\nmaximal = maybe\n",
+     "line 9: 'maximal' must be true or false, got 'maybe'"),
+    ("certify", _FIELD, "missing [model] section"),
+    ("certify", _INLINE_TX + 'g[t,y] = "0"\n', "line 5: bad metric component key 'g[t,y]'"),
+    ("certify", "[model]\nbuiltin = minkowski-cartesian\n", "missing [field] section"),
+    ("certify", "[model]\nbuiltin = minkowski-cartesian\n[field]\nalpha = 0.5\n",
+     "field needs either 'builtin' or 'expression'"),
+    ("certify", CERTIFY_TEMPLATE.format(alpha=0.5).replace("box[z] = -1, 1\n", ""),
+     "certify box missing coordinate 'z'"),
+    ("certify", CERTIFY_TEMPLATE.format(alpha=0.5).replace("box[z] = -1, 1", "box[z] = 1"),
+     "line 13: box[z] expects 'lo, hi'"),
+    ("certify", _INLINE_TX + '[field]\nexpression = "x^2"\n',
+     "no certify box given and the model declares no default"),
+    ("geodesic-probe", "[model]\nbuiltin = minkowski-cartesian\n" + _FIELD
+     + '[geodesic-probe]\nloop[t] = "0"\nloop[x] = "cos(s)"\nloop[y] = "sin(s)"\n',
+     "loop is missing coordinate 'z'"),
+    ("geodesic-probe", GEODESIC_TEMPLATE.format(field=_CANONICAL, velocity="0, 1, 0, 0")
+     .replace("span = 0, 1", "span = 1"), "span expects 'start, end'"),
+    ("foliate", "[model]\nbuiltin = milne\n" + _FIELD + "[foliate]\ncoordinate = t\n",
+     "'t' is not a coordinate of the model"),
+    ("slice-probe", "[model]\nbuiltin = minkowski-cartesian\n" + _FIELD
+     + "[slice-probe]\ncoordinate = t\nvalue = 0\n",
+     "slice-probe needs at least one point[...] entry"),
+], ids=["stray-quote", "unterminated-quote", "empty-value", "malformed-header",
+        "key-outside-section", "empty-key", "duplicate-key", "missing-key", "bad-flag",
+        "no-model", "bad-component-key", "no-field", "field-without-source",
+        "box-missing-coordinate", "box-one-value", "no-box", "loop-missing-coordinate",
+        "span-one-value", "foliate-unknown-coordinate", "slice-without-points"])
+def test_config_errors_exit_1_with_their_message(tmp_path, capsys, command, text, message):
+    cfg = write(tmp_path, "bad.cfg", text)
+    code, out, err = run(capsys, command, "--config", cfg, "--no-timestamp")
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"

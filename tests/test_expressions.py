@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +89,17 @@ def test_power_right_associative():
 def test_unbalanced_paren():
     with pytest.raises(ParseError):
         parse("sin(x", ("x",))
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    ("x $ y", "unexpected character '$'", 1, 3),
+    ("x +\n  y y", "unexpected trailing 'y'", 2, 5),
+    ("x * (y +\n 1", "unbalanced parenthesis", 2, 3),
+], ids=["character", "trailing", "open-group"])
+def test_parse_errors_carry_line_and_column(text, message, line, column):
+    with pytest.raises(ParseError, match=re.escape(message)) as info:
+        parse(text, XY)
+    assert (info.value.line, info.value.column) == (line, column)
 
 
 def test_empty_expression():
@@ -276,6 +288,25 @@ def test_nonconstant_exponent_needs_positive_base():
     assert jet.value == pytest.approx(8.0)
     with pytest.raises(DomainError):
         eval_jet2(ast, XY, (-2.0, 3.0))
+
+
+@pytest.mark.parametrize("text, parameters", [("x^1.5*y", None), ("y*x^a", {"a": 2.5})],
+                         ids=["literal", "bound-parameter"])
+def test_non_integer_constant_power_matches_finite_differences(text, parameters):
+    """A constant non-integer exponent of a positive base takes the general
+    power rule; a non-positive base is a DomainError."""
+    ast = parse(text, XY + tuple(parameters or ()))
+    point = (1.3, 0.7)
+    jet = eval_jet2(ast, XY, point, parameters)
+
+    def fn(q):
+        return eval_value(ast, XY, tuple(q), parameters)
+
+    assert jet.value == pytest.approx(1.3 ** (parameters or {"a": 1.5})["a"] * 0.7, rel=1e-15)
+    assert np.allclose(jet.gradient, _fd_reference(fd_gradient, fn, point), rtol=1e-9, atol=0)
+    assert np.allclose(jet.hessian, _fd_reference(fd_hessian, fn, point), rtol=1e-7, atol=1e-9)
+    with pytest.raises(DomainError, match="non-integer power of non-positive base"):
+        eval_jet2(ast, XY, (-1.3, 0.7), parameters)
 
 
 def test_integer_power_of_negative_base():

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from stconvex import (NonSpacelikeSlice, NotBlockForm, NullGradient,
-                      OutOfDomain, Point, SliceSpec, SpacetimeModel, barrier_scan,
-                      builtin_models, canonical_field, eval_metric, induced_metric,
-                      level_set_frame, mean_curvature, null_expansions,
+                      OutOfDomain, Point, SliceSpec, SpacetimeModel, WrongSignature,
+                      barrier_scan, builtin_models, canonical_field, eval_metric,
+                      induced_metric, level_set_frame, mean_curvature, null_expansions,
                       schwarzschild_trk, second_fundamental_form, slice_laplacian,
                       slice_restricted_hessian)
 
@@ -283,6 +283,17 @@ def test_barrier_scan_scaled_mass():
     assert lo < 3.0 < hi
 
 
+@pytest.mark.parametrize("r_lo, r_hi, end", [(1.5, 1.9, 0), (0.5, 1.5, -1)],
+                         ids=["first-sample", "last-sample"])
+def test_barrier_scan_brackets_a_zero_on_an_end_sample(r_lo, r_hi, end):
+    """Tr K is exactly zero at r = 3M/2; on an end sample it is bracketed by
+    that sample and its one neighbour."""
+    result = barrier_scan(1.0, r_lo, r_hi, 5)
+    radii = [r for r, _ in result.r_samples]
+    assert result.r_samples[end][1] == 0.0
+    assert result.zero_crossings == (tuple(radii[:2]) if end == 0 else tuple(radii[-2:]),)
+
+
 def test_barrier_scan_bad_range():
     with pytest.raises(OutOfDomain):
         barrier_scan(1.0, 1.9, 0.5, 10)
@@ -335,6 +346,29 @@ def test_null_expansions_milne_sphere_untrapped():
 def test_null_expansions_requires_declaration():
     with pytest.raises(NotBlockForm):
         null_expansions(MINK, (0.0, 1.0))
+
+
+def _spherical_block(g_tt, future=(1.0, 0.0)):
+    return SpacetimeModel.from_components(
+        name="block", coordinate_names=("t", "r", "theta", "phi"),
+        components={(0, 0): g_tt, (1, 1): "1", (2, 2): "r^2", (3, 3): "r^2*sin(theta)^2"},
+        singular_loci=("sin(theta)",), block_form=((0, 1), "r", future))
+
+
+@pytest.mark.parametrize("model, base_point, error, message", [
+    (_spherical_block("-(2 + sin(theta))"), (0.0, 1.0), NotBlockForm,
+     "base block depends on fiber coordinate 'theta'"),
+    (_spherical_block("-1", future=(0.0, 1.0)), (0.0, 1.0), NotBlockForm,
+     "declared future direction is not timelike"),
+    (_spherical_block("1"), (0.0, 1.0), WrongSignature, "base block is not Lorentzian"),
+    (_spherical_block("-1"), (0.0, -1.0), OutOfDomain, "area radius -1.0 must be positive"),
+    (_spherical_block("-1"), (0.0, 0.0), OutOfDomain, "area radius 0.0 must be positive"),
+    (_spherical_block("-1"), (0.0, 1.0, 0.5), ValueError, "exactly the two base coordinates"),
+], ids=["fiber-dependent-block", "spacelike-future", "riemannian-block", "negative-radius",
+        "zero-radius", "three-values"])
+def test_null_expansions_rejects_what_has_no_expansions(model, base_point, error, message):
+    with pytest.raises(error, match=message):
+        null_expansions(model, base_point)
 
 
 def test_null_expansions_rejects_cross_terms():

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from stconvex import (CurveSpec, DomainError, NotClosed, SingularMetric, SpacetimeModel,
-                      StepSizeInvalid, VectorClass, builtin_models, canonical_field,
+from stconvex import (ConvexityQuery, CurveSpec, DomainError, NotClosed, OutOfDomain,
+                      SingularMetric, SpacetimeModel, StepSizeInvalid, VectorClass,
+                      barrier_scan, builtin_models, canonical_field, certify_region,
                       closed_curve_probe, convexity_along_curve, covariant_hessian,
                       eval_metric, integrate_geodesic)
 from stconvex.expressions import eval_jet2
@@ -296,6 +297,28 @@ def test_closed_curve_probe_needs_a_sample(n_samples):
     curve = CurveSpec.from_texts(("0", f"cos({TWO_PI!r}*s)", f"sin({TWO_PI!r}*s)", "0"))
     with pytest.raises(ValueError, match="n_samples"):
         closed_curve_probe(canonical_field(1.0), MINK, curve, c=1.0, n_samples=n_samples)
+
+
+_UNIT_LOOP = CurveSpec.from_texts(("0", f"cos({TWO_PI!r}*s)", f"sin({TWO_PI!r}*s)", "0"))
+#: argument name -> (error type, the library call with that count)
+COUNT_ARGUMENTS = {
+    "samples_per_axis": (ValueError, lambda n: certify_region(
+        MINK, canonical_field(0.5), ConvexityQuery(((-1.0, 1.0),) * 4, samples_per_axis=n))),
+    "n_samples": (ValueError, lambda n: closed_curve_probe(
+        canonical_field(1.0), MINK, _UNIT_LOOP, c=1.0, n_samples=n)),
+    "n": (OutOfDomain, lambda n: barrier_scan(1.0, 0.5, 1.9, n)),
+}
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, "3"])
+@pytest.mark.parametrize("argument", list(COUNT_ARGUMENTS))
+def test_library_counts_must_be_integers(argument, count):
+    """A count that is not an int or a numpy integer is refused with the
+    function's own error type, naming the argument; a numpy integer is a count."""
+    error, call = COUNT_ARGUMENTS[argument]
+    with pytest.raises(error, match=f"^{argument} must be at least . and an int, got"):
+        call(count)
+    call(np.int64(3))
 
 
 NON_FINITE_MARGIN_INPUTS = pytest.mark.parametrize("c, tolerance", [

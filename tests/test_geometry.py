@@ -419,6 +419,6 @@ def test_unchecked_metric_at_defers_the_singular_solve():
 
 def test_connection_built_once_and_shared():
     m = eval_metric(SCHW, Point((0.0, 3.7, 0.9, 2.0)))
-    assert m.connection is None
+    assert m._connection is None
     gamma = m.christoffels
-    assert m.g_inverse is m.connection[0] and m.christoffels is gamma
+    assert m.g_inverse is m._connection[0] and m.christoffels is gamma
