@@ -17,7 +17,9 @@ The probes evaluate the pointwise margin
 
 with V the curve tangent and a its geodesic acceleration. Both probes take
 it from one helper that needs only the field jet and (g, dg), so this
-module forms neither g^{-1} nor Gamma. For a field certified with constant
+module forms neither g^{-1} nor Gamma; the same call gives the loop probe
+its full margin d^2(f o gamma)/ds^2 - c g(V, V), with the curve's own
+acceleration in place of a. For a field certified with constant
 c, the margin is nonnegative along every geodesic, and no closed spacelike
 loop can keep the *full* second derivative of f along the curve above
 c g(V, V) (a periodic function has no strictly convex parametrization).
@@ -161,14 +163,16 @@ def integrate_geodesic(model: SpacetimeModel, s0: GeodesicState,
                       truncation_lambda=stop_lambda, truncation_locus=stop_locus)
 
 
-def _hessian_margin(evaluator, f, model, p, v, c):
-    """(v^mu v^nu nabla_mu nabla_nu f - c g(v, v), field jet, unchecked MetricAt) at p,
-    the first term as v . dd f . v + a . df with a = geodesic_acceleration(g, dg, v)."""
+def _margins(evaluator, f, model, p, v, c, curve_accel=None):
+    """(v^mu v^nu nabla_mu nabla_nu f - c g(v, v), the same along a curve with acceleration
+    curve_accel or None, unchecked MetricAt) at p. Both margins are v . dd f . v + a . df
+    - c g(v, v), with a = geodesic_acceleration(g, dg, v) or a = curve_accel."""
     metric_at = evaluator.metric_at(p, checks=False)
     jet = field_jet(f, model, p)
+    vhv, cgvv = v @ jet.hessian @ v, c * float(v @ metric_at.g @ v)
     accel = geodesic_acceleration(metric_at.g, metric_at.first_derivatives, v)
-    margin = float(v @ jet.hessian @ v + accel @ jet.gradient - c * (v @ metric_at.g @ v))
-    return margin, jet, metric_at
+    curve = None if curve_accel is None else float(vhv + jet.gradient @ curve_accel - cgvv)
+    return float(vhv + accel @ jet.gradient - cgvv), curve, metric_at
 
 
 @dataclass(frozen=True)
@@ -199,8 +203,8 @@ def convexity_along_curve(f: ex.ScalarField, trajectory: Trajectory, c: float,
     evaluator = evaluator_for(model)
     margins = []
     for (lam, state) in trajectory.samples:
-        margin, _, metric_at = _hessian_margin(evaluator, f, model, state.position,
-                                               state.velocity.array(), c)
+        margin, _, metric_at = _margins(evaluator, f, model, state.position,
+                                        state.velocity.array(), c)
         margins.append(margin)
         if len(margins) == 1:
             initial_class = classify_vector(metric_at, state.velocity)
@@ -275,10 +279,9 @@ def closed_curve_probe(f: ex.ScalarField, model: SpacetimeModel, curve: CurveSpe
     argmin = 0.0
     min_hess_margin = np.inf
     for s, pos, d1, d2 in zip(grid, positions, ds, dss):
-        hess_margin, jet, metric_at = _hessian_margin(evaluator, f, model, Point(pos), d1, c)
         # full second derivative along the curve: plain partials plus the
         # acceleration term (chart covariance is automatic in this form)
-        margin = float(d1 @ jet.hessian @ d1 + jet.gradient @ d2) - c * float(d1 @ metric_at.g @ d1)
+        hess_margin, margin, _ = _margins(evaluator, f, model, Point(pos), d1, c, d2)
         if margin < min_margin:
             min_margin = margin
             argmin = float(s)
