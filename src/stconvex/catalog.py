@@ -101,7 +101,6 @@ class Catalog:
     """Lookup for built-in models and fields."""
 
     model_names: tuple[str, ...]
-    field_names: tuple[str, ...]
 
     def model(self, name: str, **parameter_overrides) -> SpacetimeModel:
         try:
@@ -120,4 +119,4 @@ class Catalog:
 
 
 def builtin_models() -> Catalog:
-    return Catalog(tuple(_BUILDERS), tuple(_FIELD_BUILDERS))
+    return Catalog(tuple(_BUILDERS))

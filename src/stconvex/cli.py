@@ -50,7 +50,7 @@ or comma lists. Every value, a missing key's default included, takes one
 checked conversion whose errors name the key and its line: numbers must be
 finite and counts whole. --grid and --tolerance set the key they override
 and take its conversion. Handlers read a Config and fill a Report; main
-alone checks --out's directory, reads the file, writes the report and
+alone checks --out and its directory, reads the file, writes the report and
 turns errors, a failed write included, into exit 1.
 Reports are deterministic for a given config apart from the leading
 timestamp line, which --no-timestamp suppresses; CSV uses '.' as the
@@ -432,7 +432,6 @@ def cmd_geodesic_probe(cfg: Config, report: Report) -> int:
     report.comment(f"norm_drift: {_fmt(trajectory.max_norm_drift)}")
     if trajectory.truncated:
         report.comment(f"truncated: {trajectory.truncation_reason}")
-    if trajectory.truncated:
         return 1
     return 0 if margins.passed else 2
 
@@ -534,11 +533,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Check --out's directory, read the config, set the override flags' keys,
+    """Check --out and its directory, read the config, set the override flags' keys,
     run the handler, write its report."""
     args = build_parser().parse_args(argv)
     report = Report(args.structured, not args.no_timestamp)
     try:
+        if args.out and os.path.isdir(args.out):
+            raise ConfigError(f"cannot write report: --out {args.out!r} is a directory")
         if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
             raise ConfigError(f"cannot write report: no directory for --out {args.out!r}")
         cfg = Config.from_path(args.config)

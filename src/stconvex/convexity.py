@@ -205,7 +205,8 @@ def certify_region(model: SpacetimeModel, f: ScalarField,
             metric_at = evaluator.metric_at(point)
             h = covariant_hessian(f, model, point, metric_at=metric_at)
         except ToolkitError as exc:
-            raise type(exc)(f"{exc} [at grid point {point.coordinates}]") from exc
+            exc.args = (f"{exc} [at grid point {point.coordinates}]",)  # attributes kept
+            raise
         descriptor = hessian_signature(h, query.psd_tolerance)
         labels.add(descriptor.label)
         if not descriptor.is_lorentzian:

@@ -107,7 +107,7 @@ def mean_curvature(f: ex.ScalarField, model: SpacetimeModel, p: Point) -> float:
 def schwarzschild_trk(r: float, m: float) -> float:
     """Closed-form mean curvature of the r = const cylinder inside the
     horizon: -(2/r) (2M/r - 1)^(-1/2) (1 - 3M/(2r)); zero at r = 3M/2."""
-    if not 0.0 < r < 2.0 * m:
+    if not 0.0 < r < 2.0 * m < math.inf:
         raise OutOfDomain(f"r = {r!r} is outside the interior chart (0, 2M) for M = {m!r}")
     return -(2.0 / r) * (2.0 * m / r - 1.0) ** -0.5 * (1.0 - 3.0 * m / (2.0 * r))
 
@@ -125,7 +125,7 @@ class BarrierScanResult:
 
 
 def barrier_scan(m: float, r_lo: float, r_hi: float, n: int) -> BarrierScanResult:
-    if not 0.0 < r_lo < r_hi < 2.0 * m:
+    if not 0.0 < r_lo < r_hi < 2.0 * m < math.inf:
         raise OutOfDomain(f"scan range [{r_lo!r}, {r_hi!r}] must sit inside (0, 2M), M = {m!r}")
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise OutOfDomain(f"n must be at least 2 and an int, got {n!r}")

@@ -7,22 +7,24 @@ Geodesics are integrated with classical fixed-step RK4 on
 with g(v, v) recorded at every sample as a conserved-quantity diagnostic.
 The acceleration is solved with g at each stage, g_{ms} a^s = -w_m with
 w_m = d_n g_{mr} v^n v^r - 1/2 d_m g_{nr} v^n v^r, so neither g^{-1} nor
-Gamma is formed. Every stage point and the step's end are checked against
-the signs of the singular-locus expressions at the step's start.
+Gamma is formed; each sample keeps the one solved there. Every stage point
+and step end is judged in one order: the locus guard, the locus signs
+against the step start's, the components, and at a step end the checks.
 
 The probes evaluate the pointwise margin
 
     m(lam) = V^mu V^nu nabla_mu nabla_nu f - c g(V, V)
            = V . dd f . V + a . df - c g(V, V)
 
-with V the curve tangent and a its geodesic acceleration. Both probes take
-it from one helper that needs only the field jet and (g, dg), so this
-module forms neither g^{-1} nor Gamma; the same call gives the loop probe
-its full margin d^2(f o gamma)/ds^2 - c g(V, V), with the curve's own
-acceleration in place of a. For a field certified with constant
-c, the margin is nonnegative along every geodesic, and no closed spacelike
-loop can keep the *full* second derivative of f along the curve above
-c g(V, V) (a periodic function has no strictly convex parametrization).
+with V the curve tangent and a its geodesic acceleration, from one pure
+helper of (jet, V, a, g(V, V), c). A trajectory's scan reads the recorded a
+and g(V, V) and evaluates no metric per sample; a loop takes one unchecked
+metric evaluation and one solve per sample, and its full margin
+d^2(f o gamma)/ds^2 - c g(V, V) puts the curve's own acceleration for a.
+For a field certified with constant c, the margin is nonnegative along every
+geodesic, and no closed spacelike loop can keep the *full* second derivative
+of f along the curve above c g(V, V) (a periodic function has no strictly
+convex parametrization).
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ class GeodesicState:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Integrated curve: (lam, state) samples with per-sample g(v, v).
+    """Integrated curve: (lam, state) samples, each with its g(v, v) and the
+    geodesic acceleration solved there (its RK4 step's k1).
 
     A truncated trajectory records the lam of the step it could not take
     (its last sample's lam) and the source text of the singular locus that
@@ -62,6 +65,7 @@ class Trajectory:
     model: SpacetimeModel
     samples: tuple[tuple[float, GeodesicState], ...]
     norm_history: tuple[float, ...]
+    accelerations: tuple[np.ndarray, ...]
     step_size: float
     truncated: bool = False
     truncation_reason: str = ""
@@ -93,30 +97,25 @@ def integrate_geodesic(model: SpacetimeModel, s0: GeodesicState,
     if not -math.inf < lam0 < lam1 < math.inf:
         raise StepSizeInvalid(f"parameter span {lambda_span!r} is empty or not finite")
     evaluator = evaluator_for(model)
-    d = model.dimension
     x = np.array(s0.position.coordinates, dtype=float)
     v = np.array(s0.velocity.components, dtype=float)
-    if len(x) != d or len(v) != d:
+    if len(x) != model.dimension or len(v) != model.dimension:
         raise ValueError("initial state dimension does not match the chart")
 
-    def same_side(coords, start, lam):
-        """Locus values at coords; raises if a sign differs from start's, naming
-        the locus crossed first from start, by the linear fraction a / (a - b)."""
-        values = evaluator.locus_values(coords)
+    def judge(coords, vel, start, lam, checks=False):
+        """(locus values, g, acceleration) at a stage point or step end, judged in
+        one order: guard, locus signs against start's (naming the locus crossed
+        first, by the linear fraction a / (a - b)), components, step-end checks."""
+        point = Point(coords)
+        values = evaluator.guard(point.coordinates)
         crossed = [(a / (a - b), node) for node, a, b in zip(model.singular_loci, start, values)
                    if a * b < 0.0]
         if crossed:
             locus = ex.to_source(min(crossed, key=lambda c: c[0])[1])
             raise SingularMetric(f"step from lambda = {lam} crossed the singular "
                                  f"locus {locus} = 0", locus=locus)
-        return values
-
-    def acceleration(coords, vel, start, lam):
-        # metric_at's guard goes first: a stage point within LOCUS_GUARD of a
-        # locus reports the guard, whichever side of the locus it lies on
-        m = evaluator.metric_at(Point(coords), checks=False)
-        same_side(coords, start, lam)
-        return geodesic_acceleration(m.g, m.first_derivatives, vel)
+        m = evaluator.metric_at(point, checks=checks)
+        return values, m.g, geodesic_acceleration(m.g, m.first_derivatives, vel)
 
     n_full = int(np.floor((lam1 - lam0) / step + 1e-12))
     remainder = (lam1 - lam0) - n_full * step
@@ -124,34 +123,31 @@ def integrate_geodesic(model: SpacetimeModel, s0: GeodesicState,
 
     samples = []
     norms = []
+    accels = []
     lam = lam0
     truncated = False
     reason = ""
     stop_lambda = None
     stop_locus = ""
-    metric_here = evaluator.metric_at(Point(x))
-    loci_here = evaluator.locus_values(x)
+    loci_here, g_here, a_here = judge(x, v, (), lam, checks=True)  # no signs to keep yet
     for h in steps + [None]:
-        state = GeodesicState.of(x, v)
-        samples.append((lam, state))
-        norms.append(float(v @ metric_here.g @ v))
+        samples.append((lam, GeodesicState.of(x, v)))
+        norms.append(float(v @ g_here @ v))
+        accels.append(a_here)
         if h is None:
             break
         try:
-            k1x = v
-            k1v = geodesic_acceleration(metric_here.g, metric_here.first_derivatives, v)
-            k2x = v + 0.5 * h * k1v
-            k2v = acceleration(x + 0.5 * h * k1x, k2x, loci_here, lam)
+            k2x = v + 0.5 * h * a_here
+            k2v = judge(x + 0.5 * h * v, k2x, loci_here, lam)[2]
             k3x = v + 0.5 * h * k2v
-            k3v = acceleration(x + 0.5 * h * k2x, k3x, loci_here, lam)
+            k3v = judge(x + 0.5 * h * k2x, k3x, loci_here, lam)[2]
             k4x = v + h * k3v
-            k4v = acceleration(x + h * k3x, k4x, loci_here, lam)
-            x_next = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            v_next = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            loci_here = same_side(x_next, loci_here, lam)
+            k4v = judge(x + h * k3x, k4x, loci_here, lam)[2]
+            x_next = x + (h / 6.0) * (v + 2.0 * k2x + 2.0 * k3x + k4x)
+            v_next = v + (h / 6.0) * (a_here + 2.0 * k2v + 2.0 * k3v + k4v)
+            loci_here, g_here, a_here = judge(x_next, v_next, loci_here, lam, checks=True)
             x, v = x_next, v_next
             lam = lam + h
-            metric_here = evaluator.metric_at(Point(x))
         except ToolkitError as exc:
             truncated = True
             reason = str(exc)
@@ -159,20 +155,15 @@ def integrate_geodesic(model: SpacetimeModel, s0: GeodesicState,
             stop_locus = getattr(exc, "locus", "")
             break
     return Trajectory(model=model, samples=tuple(samples), norm_history=tuple(norms),
-                      step_size=step, truncated=truncated, truncation_reason=reason,
-                      truncation_lambda=stop_lambda, truncation_locus=stop_locus)
+                      accelerations=tuple(accels), step_size=step, truncated=truncated,
+                      truncation_reason=reason, truncation_lambda=stop_lambda,
+                      truncation_locus=stop_locus)
 
 
-def _margins(evaluator, f, model, p, v, c, curve_accel=None):
-    """(v^mu v^nu nabla_mu nabla_nu f - c g(v, v), the same along a curve with acceleration
-    curve_accel or None, unchecked MetricAt) at p. Both margins are v . dd f . v + a . df
-    - c g(v, v), with a = geodesic_acceleration(g, dg, v) or a = curve_accel."""
-    metric_at = evaluator.metric_at(p, checks=False)
-    jet = field_jet(f, model, p)
-    vhv, cgvv = v @ jet.hessian @ v, c * float(v @ metric_at.g @ v)
-    accel = geodesic_acceleration(metric_at.g, metric_at.first_derivatives, v)
-    curve = None if curve_accel is None else float(vhv + jet.gradient @ curve_accel - cgvv)
-    return float(vhv + accel @ jet.gradient - cgvv), curve, metric_at
+def _margin(jet, v, a, gvv, c) -> float:
+    """v . dd f . v + a . df - c g(v, v) from the field jet at a point, the
+    tangent v there, an acceleration a and g(v, v)."""
+    return float(v @ jet.hessian @ v + a @ jet.gradient - c * gvv)
 
 
 @dataclass(frozen=True)
@@ -200,14 +191,13 @@ def convexity_along_curve(f: ex.ScalarField, trajectory: Trajectory, c: float,
     if not (math.isfinite(c) and math.isfinite(tolerance)):
         raise ValueError(f"c = {c!r} and tolerance = {tolerance!r} must both be finite")
     model = trajectory.model
-    evaluator = evaluator_for(model)
-    margins = []
-    for (lam, state) in trajectory.samples:
-        margin, _, metric_at = _margins(evaluator, f, model, state.position,
-                                        state.velocity.array(), c)
-        margins.append(margin)
-        if len(margins) == 1:
-            initial_class = classify_vector(metric_at, state.velocity)
+    # the trajectory's own accelerations and g(v, v): no metric evaluation per sample
+    margins = [_margin(field_jet(f, model, state.position), state.velocity.array(), a, gvv, c)
+               for (_, state), a, gvv in zip(trajectory.samples, trajectory.accelerations,
+                                             trajectory.norm_history)]
+    start = trajectory.samples[0][1]
+    initial_class = classify_vector(
+        evaluator_for(model).metric_at(start.position, checks=False), start.velocity)
     idx = int(np.argmin(margins))
     return MarginReport(
         margins=tuple(margins),
@@ -226,12 +216,11 @@ class CurveSpec:
     evaluated as one fused set: one compiled call per parameter value."""
 
     components: tuple[ex.Expr, ...]
-    sources: tuple[str, ...]
 
     @classmethod
     def from_texts(cls, texts, extra_symbols=()) -> "CurveSpec":
         asts = tuple(ex.parse(t, ("s",) + tuple(extra_symbols)) for t in texts)
-        return cls(asts, tuple(texts))
+        return cls(asts)
 
     def jets(self, s, parameters=None):
         """Exact position, d/ds and d2/ds2 at each s of a 1-D sequence, as (len(s), d) arrays."""
@@ -279,13 +268,16 @@ def closed_curve_probe(f: ex.ScalarField, model: SpacetimeModel, curve: CurveSpe
     argmin = 0.0
     min_hess_margin = np.inf
     for s, pos, d1, d2 in zip(grid, positions, ds, dss):
-        # full second derivative along the curve: plain partials plus the
-        # acceleration term (chart covariance is automatic in this form)
-        hess_margin, margin, _ = _margins(evaluator, f, model, Point(pos), d1, c, d2)
+        metric_at = evaluator.metric_at(Point(pos), checks=False)
+        jet = field_jet(f, model, metric_at.point)
+        gvv = float(d1 @ metric_at.g @ d1)
+        accel = geodesic_acceleration(metric_at.g, metric_at.first_derivatives, d1)
+        # d^2(f o gamma)/ds^2 takes the curve's own acceleration; it needs no chart term
+        margin = _margin(jet, d1, d2, gvv, c)
         if margin < min_margin:
             min_margin = margin
             argmin = float(s)
-        min_hess_margin = min(min_hess_margin, hess_margin)
+        min_hess_margin = min(min_hess_margin, _margin(jet, d1, accel, gvv, c))
     return ClosedCurveReport(
         obstructed=min_margin < -tolerance,
         min_margin=float(min_margin),

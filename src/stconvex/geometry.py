@@ -88,7 +88,6 @@ class SpacetimeModel:
     """
 
     name: str
-    dimension: int
     coordinate_names: tuple[str, ...]
     components: tuple[tuple[ex.Expr, ...], ...]
     parameters: dict[str, float] = field(default_factory=dict)
@@ -117,10 +116,14 @@ class SpacetimeModel:
             base, radius_text, future = block_form
             bf = BlockForm(tuple(base), ex.parse(radius_text, declared),
                            tuple(float(c) for c in future))
-        return cls(name=name, dimension=dim, coordinate_names=coords,
+        return cls(name=name, coordinate_names=coords,
                    components=tuple(tuple(row) for row in asts),
                    parameters=parameters, singular_loci=loci,
                    sample_box=tuple(sample_box) if sample_box else None, block_form=bf)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.coordinate_names)
 
     def with_parameters(self, **overrides) -> "SpacetimeModel":
         unknown = set(overrides) - set(self.parameters)
@@ -219,19 +222,18 @@ class MetricEvaluator:
         self._locus_values = ex.compile_value(self._loci, self.names, self.params)
 
     def guard(self, coords):
-        """Raise SingularMetric when within the declared locus guard; every
-        locus is evaluated before any is compared."""
-        for value, node in zip(self._locus_values(*coords), self._loci):
+        """The signed locus-expression values at coords, whose sign change
+        between two points means the segment crossed a locus. Raises
+        SingularMetric when within the declared locus guard; every locus is
+        evaluated before any is compared."""
+        values = self._locus_values(*coords)
+        for value, node in zip(values, self._loci):
             if abs(value) < LOCUS_GUARD:
                 locus = ex.to_source(node)
                 raise SingularMetric(
                     f"point {tuple(coords)} lies on or within {LOCUS_GUARD} of the "
                     f"singular locus {locus} = 0 of '{self.name}'", locus=locus)
-
-    def locus_values(self, coords):
-        """Signed locus-expression values; a sign change between two points
-        means the segment crossed a singular locus."""
-        return self._locus_values(*coords)
+        return values
 
     def components(self, coords):
         """(g, dg) with dg[lam, mu, nu] = d_lam g_{mu nu}, by exact jets, all

@@ -561,13 +561,42 @@ _INLINE_TX = '[model]\ncoordinates = t, x\ng[t,t] = "-1"\ng[x,x] = "1"\n'
     ("slice-probe", "[model]\nbuiltin = minkowski-cartesian\n" + _FIELD
      + "[slice-probe]\ncoordinate = t\nvalue = 0\n",
      "slice-probe needs at least one point[...] entry"),
+    ("certify", _INLINE_TX + 'singular_loci = "x"\n[field]\nexpression = "x^2"\n'
+     "[certify]\nbox[t] = -1, 1\nbox[x] = -1, 1\nsamples_per_axis = 3\n",
+     "point (-1.0, 0.0) lies on or within 1e-06 of the singular locus x = 0 "
+     "of 'inline' [at grid point (-1.0, 0.0)]"),
 ], ids=["stray-quote", "unterminated-quote", "empty-value", "malformed-header",
         "key-outside-section", "empty-key", "duplicate-key", "missing-key", "bad-flag",
         "no-model", "bad-component-key", "no-field", "field-without-source",
         "box-missing-coordinate", "box-one-value", "no-box", "loop-missing-coordinate",
-        "span-one-value", "foliate-unknown-coordinate", "slice-without-points"])
+        "span-one-value", "foliate-unknown-coordinate", "slice-without-points",
+        "inline-singular-locus"])
 def test_config_errors_exit_1_with_their_message(tmp_path, capsys, command, text, message):
     cfg = write(tmp_path, "bad.cfg", text)
     code, out, err = run(capsys, command, "--config", cfg, "--no-timestamp")
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_out_naming_a_directory_fails_before_the_work(tmp_path, capsys):
+    """--out naming an existing directory is refused before the config is
+    read: the config here is missing, and the error names the report path."""
+    code, out, err = run(capsys, "barrier-scan", "--config", str(tmp_path / "nope.cfg"),
+                         "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == f"error: cannot write report: --out {str(tmp_path)!r} is a directory\n"
+
+
+@pytest.mark.parametrize("command, text, code, expected", [
+    ("certify", "# a whole-line comment\n"
+     + CERTIFY_TEMPLATE.format(alpha="0.5   # a trailing comment"), 0, "verdict: certified"),
+    ("slice-probe", "[model]\nbuiltin = minkowski-cartesian\n"
+     '[field]\nexpression = "-(x^2 + y^2 + z^2)"\n'
+     "[slice-probe]\ncoordinate = t\nvalue = 0\npoint[0] = 0, 0.3, -0.2, 0.7\nmaximal = true\n",
+     2, "subharmonicity: violated"),
+], ids=["comments", "maximal-slice-not-subharmonic"])
+def test_config_features_reach_the_report(tmp_path, capsys, command, text, code, expected):
+    cfg = write(tmp_path, "f.cfg", text)
+    got, out, err = run(capsys, command, "--config", cfg, "--no-timestamp")
+    assert got == code
+    assert expected in out + err

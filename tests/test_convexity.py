@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from stconvex import (CInterval, ConvexityQuery, NonLorentzianMetric, NullGradient, Point,
-                      admissible_c_interval, builtin_models, canonical_field,
-                      canonical_field_spherical, certify_region,
-                      gradient_invariant, hessian_signature)
+                      SingularMetric, UnknownSymbol, admissible_c_interval, builtin_models,
+                      canonical_field, canonical_field_spherical, certify_region,
+                      covariant_hessian, gradient_invariant, hessian_signature)
 
 CAT = builtin_models()
 MINK = CAT.model("minkowski-cartesian")
@@ -302,3 +302,28 @@ def test_certificate_records_grid_and_stats():
     assert cert.per_point_stats.samples == 81
     assert cert.per_point_stats.c_lo_min == pytest.approx(0.25, abs=1e-9)
     assert cert.per_point_stats.c_hi_max == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("field, region, error, attribute, value", [
+    (canonical_field(0.5), MINK_SPH.sample_box, UnknownSymbol, "name", "x"),
+    (canonical_field_spherical(0.5), ((-1.0, 1.0), (0.0, 1.0), (0.5, 2.5), (0.1, 6.0)),
+     SingularMetric, "locus", "r"),
+], ids=["unknown-symbol", "singular-locus"])
+def test_grid_point_suffix_keeps_the_exception(field, region, error, attribute, value):
+    """The grid-point suffix is appended to the raised exception itself, so
+    an exception whose constructor is not (message) keeps its message and
+    every attribute; rebuilding it through its constructor garbled the
+    message of an UnknownSymbol and dropped the locus of a SingularMetric."""
+    query = ConvexityQuery(region=region, samples_per_axis=2)
+    point = Point(tuple(lo for lo, _ in region))
+    with pytest.raises(error) as info:
+        certify_region(MINK_SPH, field, query)
+    assert getattr(info.value, attribute) == value
+    with pytest.raises(error) as direct:  # the same error, raised off the grid
+        covariant_hessian(field, MINK_SPH, point)
+    assert str(info.value) == f"{direct.value} [at grid point {point.coordinates}]"
+
+
+def test_query_axis_count_must_match_the_chart():
+    with pytest.raises(ValueError, match="query region has 3 axes, chart has 4"):
+        certify_region(MINK, canonical_field(0.5), ConvexityQuery(region=BOX[:3]))

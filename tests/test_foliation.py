@@ -441,3 +441,21 @@ def test_curved_slice_connection_used():
     # D_i D_j cosh(chi) on the unit hyperbolic 3-space equals cosh(chi) h_ij
     h = induced_metric(MILNE, spec, p)
     assert np.abs(ddf - math.cosh(0.8) * h).max() < 1e-10
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: barrier_scan(m, 0.5, 1.0, 3),
+    lambda m: schwarzschild_trk(1.0, m),
+], ids=["barrier_scan", "schwarzschild_trk"])
+@pytest.mark.parametrize("m", [math.inf, math.nan])
+def test_non_finite_mass_is_out_of_domain(call, m):
+    """A non-finite M is refused: an infinite one would pass 0 < r < 2M and
+    give Tr K = nan."""
+    with pytest.raises(OutOfDomain, match=f"M = {m!r}"):
+        call(m)
+
+
+def test_slice_on_an_unknown_coordinate_is_refused():
+    with pytest.raises(ValueError, match="'w' is not a coordinate of 'minkowski-cartesian'"):
+        slice_laplacian(canonical_field(0.5), MINK, SliceSpec("w", 0.0),
+                        Point((0.0, 0.3, -0.2, 0.7)))

@@ -12,6 +12,7 @@ from stconvex import (ConvexityQuery, CurveSpec, DomainError, NotClosed, OutOfDo
                       eval_metric, integrate_geodesic)
 from stconvex.expressions import eval_jet2
 from stconvex.geodesics import GeodesicState
+from stconvex.geometry import MetricEvaluator, geodesic_acceleration
 
 CAT = builtin_models()
 MINK = CAT.model("minkowski-cartesian")
@@ -357,3 +358,65 @@ def test_drift_constant_reported():
     state, _, _ = circular_orbit_state(inclination=0.3)
     trajectory = integrate_geodesic(SCHW, state, (0.0, 1.0), step=0.01)
     assert trajectory.drift_constant == trajectory.max_norm_drift / 0.01 ** 4
+
+
+def test_margin_scan_makes_one_metric_evaluation(monkeypatch):
+    """The scan reads the trajectory's accelerations and g(v, v); only the
+    classification of the first velocity evaluates the metric."""
+    state, _, _ = circular_orbit_state(r=7.0, inclination=0.4)
+    trajectory = integrate_geodesic(SCHW, state, (0.0, 12.0), step=0.1)
+    assert len(trajectory.samples) > 100
+    calls = []
+    original = MetricEvaluator.metric_at
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+    monkeypatch.setattr(MetricEvaluator, "metric_at", counted)
+    report = convexity_along_curve(SCHW.field("0.5*r^2 + sin(theta)*t"), trajectory, c=0.3)
+    assert len(calls) <= 1 and len(report.margins) == len(trajectory.samples)
+
+
+def test_recorded_accelerations_are_the_checked_metric_solve():
+    """accelerations[i] is, bit for bit, the solve with the checked metric at
+    sample i, the last sample included, and the scan's margins equal the
+    margins formed from a per-sample metric evaluation bit for bit."""
+    f = SCHW.field("0.5*r^2 + sin(theta)*t")
+    state, _, _ = circular_orbit_state(r=7.0, inclination=0.4)
+    trajectory = integrate_geodesic(SCHW, state, (0.0, 5.0), step=0.1)
+    report = convexity_along_curve(f, trajectory, c=0.3)
+    assert len(trajectory.accelerations) == len(trajectory.samples)
+    for a, margin, (_, s) in zip(trajectory.accelerations, report.margins, trajectory.samples):
+        m = eval_metric(SCHW, s.position)
+        vel = s.velocity.array()
+        accel = geodesic_acceleration(m.g, m.first_derivatives, vel)
+        assert a.tobytes() == accel.tobytes()
+        jet = eval_jet2(f.ast, SCHW.coordinate_names, s.position.coordinates, SCHW.parameters)
+        assert margin == float(vel @ jet.hessian @ vel + accel @ jet.gradient
+                               - 0.3 * float(vel @ m.g @ vel))
+
+
+def test_stage_past_a_locus_where_a_component_is_undefined_names_the_locus():
+    """A stage point at x < 0 is judged on the locus signs before the
+    components, so 1/sqrt(x) is never evaluated there: the step is reported
+    as a crossing of x = 0, not as a DomainError with no locus."""
+    chart = SpacetimeModel.from_components(
+        name="sqrt-chart", coordinate_names=("t", "x"),
+        components={(0, 0): "-1", (1, 1): "1/sqrt(x)"}, singular_loci=("x",))
+    state = GeodesicState.of((0.0, 1.0), (1.0, -1.0))
+    trajectory = integrate_geodesic(chart, state, (0.0, 5.0), step=0.3)
+    assert trajectory.truncated and trajectory.truncation_locus == "x"
+    assert trajectory.truncation_reason == ("step from lambda = 1.2 crossed the singular "
+                                            "locus x = 0")
+    assert trajectory.truncation_lambda == trajectory.samples[-1][0] == 1.2
+
+
+@pytest.mark.parametrize("call", [
+    lambda: integrate_geodesic(MINK, GeodesicState.of((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+                               (0.0, 1.0)),
+    lambda: closed_curve_probe(canonical_field(1.0), MINK, CurveSpec.from_texts(
+        ("0", f"cos({TWO_PI!r}*s)", f"sin({TWO_PI!r}*s)")), c=1.0),
+], ids=["integrate_geodesic", "closed_curve_probe"])
+def test_dimension_mismatch_is_refused(call):
+    with pytest.raises(ValueError, match="dimension does not match the chart"):
+        call()

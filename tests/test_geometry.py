@@ -1,11 +1,12 @@
 """Metric evaluation, Christoffels, covariant Hessians, causal classification."""
 
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stconvex import (NullGradient, Point, SingularMetric, TangentVector,
+from stconvex import (NullGradient, Point, SingularMetric, TangentVector, UnknownSymbol,
                       VectorClass, WrongSignature, builtin_models,
                       canonical_field, canonical_field_spherical,
                       classify_vector, covariant_hessian, eval_metric,
@@ -422,3 +423,28 @@ def test_connection_built_once_and_shared():
     assert m._connection is None
     gamma = m.christoffels
     assert m.g_inverse is m._connection[0] and m.christoffels is gamma
+
+
+_ORIGIN = Point((0.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SpacetimeModel.from_components("line", ("t",), {(0, 0): "-1"}),
+     ValueError, "at least 2 coordinates"),
+    (lambda: SCHW.with_parameters(Q=1.0), UnknownSymbol, "unknown symbol 'Q'"),
+    (lambda: eval_metric(MINK, Point((0.0, 0.0, 0.0))),
+     ValueError, "point has 3 coordinates, chart has 4"),
+    (lambda: classify_vector(eval_metric(MINK, _ORIGIN), TangentVector((1.0, 0.0, 0.0), _ORIGIN)),
+     ValueError, "vector dimension does not match the chart"),
+], ids=["one-coordinate", "unknown-parameter", "metric-point", "classified-vector"])
+def test_malformed_arguments_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_dimension_is_the_number_of_coordinates():
+    """The dimension is read off the coordinate names, not stored beside them."""
+    plane = SpacetimeModel.from_components("plane", ("t", "x"), {(0, 0): "-1", (1, 1): "1"})
+    assert plane.dimension == 2 and MINK.dimension == 4
+    with pytest.raises(TypeError):
+        replace(plane, dimension=3)
