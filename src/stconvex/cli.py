@@ -69,13 +69,13 @@ import numpy as np
 
 from . import __version__
 from .catalog import builtin_models
-from .convexity import ConvexityQuery, certify_region
+from .convexity import C_SEARCH_CEILING, PSD_TOLERANCE, ConvexityQuery, certify_region
 from .errors import ConfigError, ToolkitError
 from .expressions import ScalarField
 from .foliation import (SliceSpec, barrier_scan, mean_curvature, slice_laplacian,
                         slice_restricted_hessian)
-from .geodesics import (CurveSpec, GeodesicState, closed_curve_probe,
-                        convexity_along_curve, integrate_geodesic)
+from .geodesics import (DEFAULT_STEP, MARGIN_TOLERANCE, CurveSpec, GeodesicState,
+                        closed_curve_probe, convexity_along_curve, integrate_geodesic)
 from .geometry import Point, SpacetimeModel
 
 
@@ -349,8 +349,8 @@ def cmd_certify(cfg: Config, report: Report) -> int:
     query = ConvexityQuery(
         region=region,
         samples_per_axis=cfg.count("certify", "samples_per_axis", "5"),
-        psd_tolerance=cfg.number("certify", "psd_tolerance", "1e-10"),
-        c_search_ceiling=cfg.number("certify", "c_ceiling", "1e3"),
+        psd_tolerance=cfg.number("certify", "psd_tolerance", repr(PSD_TOLERANCE)),
+        c_search_ceiling=cfg.number("certify", "c_ceiling", repr(C_SEARCH_CEILING)),
     )
     cert = certify_region(model, field, query)
     report.kv("verdict", cert.verdict)
@@ -395,7 +395,7 @@ def cmd_geodesic_probe(cfg: Config, report: Report) -> int:
     model = resolve_model(cfg)
     field = resolve_field(cfg, model)
     c = cfg.number("geodesic-probe", "c", "1.0")
-    tolerance = cfg.number("geodesic-probe", "tolerance", "1e-10")
+    tolerance = cfg.number("geodesic-probe", "tolerance", repr(MARGIN_TOLERANCE))
     loops = cfg.bracketed("geodesic-probe", "loop")
     if loops:
         texts = []
@@ -419,7 +419,7 @@ def cmd_geodesic_probe(cfg: Config, report: Report) -> int:
     span = cfg.numbers("geodesic-probe", "span")
     if len(span) != 2:
         raise ConfigError("span expects 'start, end'")
-    step = cfg.number("geodesic-probe", "step", "1e-3")
+    step = cfg.number("geodesic-probe", "step", repr(DEFAULT_STEP))
     trajectory = integrate_geodesic(model, GeodesicState.of(position, velocity),
                                     (span[0], span[1]), step)
     margins = convexity_along_curve(field, trajectory, c, tolerance)
@@ -553,7 +553,7 @@ def main(argv=None) -> int:
                 with open(args.out, "w", encoding="utf-8") as handle:
                     handle.write(report.render())
             except OSError as exc:
-                raise ConfigError(f"cannot write report: {exc}") from None
+                raise ConfigError(f"cannot write report to {args.out!r}: {exc.strerror}") from None
         else:
             sys.stdout.write(report.render())
     except (ToolkitError, ValueError) as exc:

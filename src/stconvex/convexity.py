@@ -10,9 +10,9 @@ semidefinite. Since lambda_min(H - cG) is concave in c, the admissible set of
 c is an interval. H - cG can only change definiteness where it is singular,
 at an eigenvalue of the pencil (H, G), so the endpoints are the extreme
 pencil eigenvalues (or 0, or the search ceiling) that pass a PSD test
-(smallest eigenvalue with tolerance). Region certificates intersect the
-per-point intervals over a coordinate-box grid; they are explicitly
-*sampled* certificates and record the grid used.
+(smallest eigenvalue, tolerance relative to H and cG). Region certificates
+intersect the per-point intervals over a coordinate-box grid; they are
+explicitly *sampled* certificates and record the grid used.
 
 A certificate also reports, independently, whether the Hessian itself has
 Lorentzian signature at every sample: the two clauses (signature and
@@ -34,12 +34,14 @@ import numpy as np
 
 from .errors import NonLorentzianMetric, ToolkitError
 from .expressions import ScalarField
-from .geometry import (Point, SpacetimeModel, _signature_counts,
-                       covariant_hessian, evaluator_for, is_lorentzian)
+from .geometry import (Point, SpacetimeModel, _sign_counts, covariant_hessian,
+                       evaluator_for)
 
-#: accuracy of a computed endpoint: intervals whose upper endpoint is below
-#: it are reported empty, and intervals whose ends cross by at most it touch
+#: relative accuracy of an endpoint: an interval whose top is at most this times
+#: max |pencil root| is empty, and ends crossing by this times max |end| touch
 ENDPOINT_RESOLUTION = 1e-9
+#: defaults of the (relative) PSD tolerance and of the c search ceiling
+PSD_TOLERANCE, C_SEARCH_CEILING = 1e-10, 1e3
 
 
 @dataclass(frozen=True)
@@ -65,8 +67,9 @@ class SignatureDescriptor:
         return self.label == "Lorentzian"
 
 
-def hessian_signature(h: np.ndarray, tol: float = 1e-10) -> SignatureDescriptor:
-    return SignatureDescriptor(*_signature_counts(h, tol))
+def hessian_signature(h: np.ndarray, tol: float = PSD_TOLERANCE) -> SignatureDescriptor:
+    """Sign counts of H's eigenvalues, zero meaning |lambda| <= tol * max |lambda|."""
+    return SignatureDescriptor(*_sign_counts(np.linalg.eigvalsh(h).tolist(), tol))
 
 
 @dataclass(frozen=True)
@@ -78,49 +81,56 @@ class CInterval:
     def intersect(self, other: "CInterval | None") -> "CInterval | None":
         """The common part, or None when empty. Ends computed at different
         points differ by rounding, so ends that cross by at most
-        ENDPOINT_RESOLUTION touch: lo may then exceed hi by that much."""
+        ENDPOINT_RESOLUTION * max(|lo|, |hi|) touch, lo then exceeding hi."""
         if other is None:
             return None
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
-        if lo > hi + ENDPOINT_RESOLUTION:
+        if lo - hi > ENDPOINT_RESOLUTION * max(abs(lo), abs(hi)):
             return None
         return CInterval(lo, hi, self.ceiling_hit or other.ceiling_hit)
 
 
-def admissible_c_interval(h: np.ndarray, g: np.ndarray, tol: float = 1e-10,
-                          ceiling: float = 1e3) -> CInterval | None:
+def admissible_c_interval(h: np.ndarray, g: np.ndarray, tol: float = PSD_TOLERANCE,
+                          ceiling: float = C_SEARCH_CEILING) -> CInterval | None:
     """The interval {c in (0, ceiling] : H - cG is PSD}, or None when empty.
 
+    H - cG passes when its smallest eigenvalue is >= -tol (||H|| + c ||G||),
+    spectral norms: by Weyl's inequality rounding moves it by that order.
     The probes are 0, the real part of every pencil eigenvalue in (0,
     ceiling), the ceiling and the midpoints between them, all tested in one
     stacked eigvalsh call; lo and hi are the extreme probes that pass. Ends
-    are accurate to 1e-9 when the pencil is diagonalizable and to about 1e-7
-    at a defective root, where eigvals itself is only accurate to sqrt(eps).
-    G must be Lorentzian.
+    are accurate to 1e-9 relative to max |pencil root| when the pencil is
+    diagonalizable and to about 1e-7 at a defective root, where eigvals
+    itself is only accurate to sqrt(eps). G must be Lorentzian.
     """
     h = np.asarray(h, dtype=float)
     g = np.asarray(g, dtype=float)
-    if not is_lorentzian(g):
+    g_eigenvalues = np.linalg.eigvalsh(g).tolist()
+    if _sign_counts(g_eigenvalues)[:2] != (1, 0):
         raise NonLorentzianMetric("the matrix supplied as the metric is not Lorentzian")
+    g_norm = max(-g_eigenvalues[0], g_eigenvalues[-1])
 
     # An endpoint of the admissible set is a c where H - cG turns singular: a
     # pencil eigenvalue. A defective root comes back as a near-real complex
     # pair, so every eigenvalue's real part is a candidate.
-    pencil = np.linalg.eigvals(np.linalg.solve(g, h)).real
+    roots = sorted(np.linalg.eigvals(np.linalg.solve(g, h)).real.tolist())
+    scale = max(-roots[0], roots[-1])
     probes = [0.0]
-    for c in np.sort(pencil[(pencil > 0.0) & (pencil < ceiling)]):
-        if c - probes[-1] > 1e-12:
-            probes.append(float(c))
-    if ceiling - probes[-1] > 1e-12:
+    for c in roots:
+        if 0.0 < c < ceiling and c - probes[-1] > 1e-12 * scale:
+            probes.append(c)
+    if ceiling - probes[-1] > 1e-12 * scale:
         probes.append(ceiling)
     # the probes and the segment midpoints, tested in one stacked call; the
     # feasible set is an interval, so its extreme feasible probes are its ends
     cs = np.empty(2 * len(probes) - 1)
     cs[0::2] = probes
     cs[1::2] = 0.5 * (cs[:-1:2] + cs[2::2])
-    feasible = np.flatnonzero(np.linalg.eigvalsh(h - cs[:, None, None] * g)[:, 0] >= -tol)
-    if feasible.size == 0 or cs[feasible[-1]] <= ENDPOINT_RESOLUTION:
+    eigenvalues = np.linalg.eigvalsh(h - cs[:, None, None] * g)
+    h_norm = max(-eigenvalues[0, 0], eigenvalues[0, -1])  # row 0 is c = 0: H itself
+    feasible = np.flatnonzero(eigenvalues[:, 0] >= -tol * (h_norm + cs * g_norm))
+    if feasible.size == 0 or cs[feasible[-1]] <= ENDPOINT_RESOLUTION * scale:
         return None
     return CInterval(float(cs[feasible[0]]), float(cs[feasible[-1]]),
                      bool(feasible[-1] == cs.size - 1))
@@ -128,12 +138,13 @@ def admissible_c_interval(h: np.ndarray, g: np.ndarray, tol: float = 1e-10,
 
 @dataclass(frozen=True)
 class ConvexityQuery:
-    """Axis-aligned coordinate box and sampling resolution for certification."""
+    """Axis-aligned coordinate box and sampling resolution for certification;
+    psd_tolerance is relative to the size of H and G (admissible_c_interval)."""
 
     region: tuple[tuple[float, float], ...]
     samples_per_axis: int = 5
-    psd_tolerance: float = 1e-10
-    c_search_ceiling: float = 1e3
+    psd_tolerance: float = PSD_TOLERANCE
+    c_search_ceiling: float = C_SEARCH_CEILING
 
     def validate(self, dimension: int):
         if len(self.region) != dimension:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import NonSpacelikeSlice, NotBlockForm, OutOfDomain, WrongSignature
-from .geometry import (MetricAt, Point, SpacetimeModel, TangentVector,
+from .geometry import (SIGNATURE_TOL, MetricAt, Point, SpacetimeModel, TangentVector,
                        _gradient_data, _inverse_and_christoffels,
                        covariant_hessian, covariant_hessian_from, eval_metric,
                        evaluator_for, field_jet)
@@ -228,7 +228,7 @@ def _slice_data(model: SpacetimeModel, spec: SliceSpec, p: Point):
     g, dg = evaluator_for(model).components(pinned.coordinates)
     h = g[keep[:, None], keep]
     eigenvalues = np.linalg.eigvalsh(h)
-    if eigenvalues[0] <= 1e-10:
+    if eigenvalues[0] <= SIGNATURE_TOL * eigenvalues[-1]:
         raise NonSpacelikeSlice(
             f"induced metric on {spec.coordinate} = {spec.value!r} is not positive "
             f"definite at {p.coordinates} (smallest eigenvalue {eigenvalues[0]:.3e})")

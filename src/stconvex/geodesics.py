@@ -40,6 +40,8 @@ from .geometry import (Point, SpacetimeModel, TangentVector, VectorClass,
                        classify_vector, evaluator_for, field_jet, geodesic_acceleration)
 
 DEFAULT_STEP = 1e-3
+#: default tolerance of both curve probes: a margin passes when >= -this
+MARGIN_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,7 @@ class MarginReport:
 
 
 def convexity_along_curve(f: ex.ScalarField, trajectory: Trajectory, c: float,
-                          tolerance: float = 1e-10) -> MarginReport:
+                          tolerance: float = MARGIN_TOLERANCE) -> MarginReport:
     """m(lam) = v^mu v^nu nabla_mu nabla_nu f - c g(v, v) at every sample."""
     if not trajectory.samples:
         raise ValueError("empty trajectory")
@@ -248,7 +250,7 @@ class ClosedCurveReport:
 
 def closed_curve_probe(f: ex.ScalarField, model: SpacetimeModel, curve: CurveSpec,
                        c: float, n_samples: int = 256,
-                       tolerance: float = 1e-10) -> ClosedCurveReport:
+                       tolerance: float = MARGIN_TOLERANCE) -> ClosedCurveReport:
     """Evaluate d^2(f o gamma)/ds^2 - c g(gamma', gamma') around the loop."""
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
         raise ValueError(f"n_samples must be at least 1 and an int, got {n_samples!r}")

@@ -22,12 +22,10 @@ from . import expressions as ex
 from .errors import (DomainError, NullGradient, SingularMetric, UnknownSymbol,
                      WrongSignature)
 
-#: eigenvalues with magnitude below this count as zero in signature checks
-SIGNATURE_TOL = 1e-10
-#: |det g| below this is treated as degenerate
-DET_TOL = 1e-12
-#: reject metrics whose condition estimate exceeds this
+#: reject metrics whose condition estimate (infinite when singular) reaches this
 CONDITION_CAP = 1e12
+#: |eigenvalue| <= this times the largest is zero: a g within the cap has none
+SIGNATURE_TOL = 1 / CONDITION_CAP
 #: minimum allowed distance (in the locus expression's value) from singular loci
 LOCUS_GUARD = 1e-6
 #: |g(V, V)| below this classifies V as null
@@ -172,20 +170,13 @@ class VectorClass(enum.Enum):
     SPACELIKE = "spacelike"
 
 
-def _signature_counts(matrix, tol=SIGNATURE_TOL):
-    return _sign_counts(np.linalg.eigvalsh(matrix).tolist(), tol)
-
-
 def _sign_counts(eigenvalues, tol=SIGNATURE_TOL):
-    """(negative, zero, positive) counts of float eigenvalues, zero meaning |lambda| <= tol."""
-    negative = sum(e < -tol for e in eigenvalues)
-    zero = sum(abs(e) <= tol for e in eigenvalues)
+    """(negative, zero, positive) counts of float eigenvalues, zero meaning
+    |lambda| <= tol * max |lambda|, so the counts do not depend on units."""
+    bound = tol * max(map(abs, eigenvalues))
+    negative = sum(e < -bound for e in eigenvalues)
+    zero = sum(abs(e) <= bound for e in eigenvalues)
     return negative, zero, len(eigenvalues) - negative - zero
-
-
-def is_lorentzian(matrix) -> bool:
-    negative, zero, positive = _signature_counts(matrix)
-    return negative == 1 and zero == 0 and positive == matrix.shape[0] - 1
 
 
 class MetricEvaluator:
@@ -252,23 +243,19 @@ class MetricEvaluator:
         self.guard(coords)
         g, dg = self.components(coords)
         if checks:
-            # one eigendecomposition gives all three checks: for a symmetric g,
-            # det is the product of the eigenvalues and the 2-norm condition
-            # number is max |lambda| / min |lambda|
+            # one eigendecomposition gives both checks; a zero eigenvalue by the rule of
+            # _sign_counts is a 2-norm condition number of at least the cap, rejected first
             eigenvalues = np.linalg.eigvalsh(g).tolist()
-            det = math.prod(eigenvalues)
-            if abs(det) < DET_TOL:
-                raise SingularMetric(f"|det g| = {abs(det):.3e} below tolerance at {coords}")
+            smallest, largest = min(map(abs, eigenvalues)), max(map(abs, eigenvalues))
+            if smallest <= SIGNATURE_TOL * largest:
+                cond = largest / smallest if smallest else math.inf
+                raise SingularMetric(f"metric condition estimate {cond:.3e} exceeds "
+                                     f"{CONDITION_CAP:.0e} at {coords}")
             negative, zero, positive = _sign_counts(eigenvalues)
             if (negative, zero) != (1, 0):
                 raise WrongSignature(
                     f"metric signature ({negative} negative, {zero} zero, {positive} positive) "
                     f"is not Lorentzian at {coords}")
-            magnitudes = [abs(e) for e in eigenvalues]
-            cond = max(magnitudes) / min(magnitudes)
-            if not math.isfinite(cond) or cond > CONDITION_CAP:
-                raise SingularMetric(f"metric condition estimate {cond:.3e} exceeds "
-                                     f"{CONDITION_CAP:.0e} at {coords}")
         return MetricAt(point, g, dg)
 
 
@@ -324,8 +311,7 @@ def evaluator_for(model: SpacetimeModel) -> MetricEvaluator:
 
 
 def eval_metric(model: SpacetimeModel, p: Point) -> MetricAt:
-    """Metric components, inverse (via linear solve), and Christoffel symbols
-    at a point, with degeneracy/signature/conditioning checks."""
+    """Checked metric data at a point: the condition cap, then the signature."""
     return evaluator_for(model).metric_at(p)
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exit codes, reports, determinism."""
 
 import math
+import os
 
 import pytest
 
@@ -513,13 +514,13 @@ def test_out_into_missing_directory_fails_before_the_work(tmp_path, capsys):
     assert not target.parent.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_out_write_failure_exits_1_naming_the_path(tmp_path, capsys):
+    """A write that fails after the work (here: no space left) names the path."""
     cfg = write(tmp_path, "b.cfg", "[barrier-scan]\nM = 1.0\nr_lo = 0.5\nr_hi = 1.9\n")
-    target = tmp_path / "a-directory"
-    target.mkdir()
-    code, out, err = run(capsys, "barrier-scan", "--config", cfg, "--out", str(target))
+    code, out, err = run(capsys, "barrier-scan", "--config", cfg, "--out", "/dev/full")
     assert code == 1 and out == ""
-    assert err.startswith("error: cannot write report:") and str(target) in err
+    assert err == "error: cannot write report to '/dev/full': No space left on device\n"
 
 
 _CANONICAL = "builtin = canonical\nalpha = 0.5\n"

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from stconvex import (CInterval, ConvexityQuery, NonLorentzianMetric, NullGradient, Point,
-                      SingularMetric, UnknownSymbol, admissible_c_interval, builtin_models,
-                      canonical_field, canonical_field_spherical, certify_region,
-                      covariant_hessian, gradient_invariant, hessian_signature)
+                      SingularMetric, SpacetimeModel, UnknownSymbol, admissible_c_interval,
+                      builtin_models, canonical_field, canonical_field_spherical,
+                      certify_region, covariant_hessian, gradient_invariant,
+                      hessian_signature)
+from stconvex.expressions import to_source
 
 CAT = builtin_models()
 MINK = CAT.model("minkowski-cartesian")
@@ -42,6 +44,17 @@ def test_interval_single_point():
 def test_interval_requires_lorentzian_g():
     with pytest.raises(NonLorentzianMetric):
         admissible_c_interval(ETA.copy(), np.eye(4))
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-12])
+def test_interval_of_a_small_metric_is_scale_free(scale):
+    """The Lorentzian check and the PSD test are relative to the size of the
+    matrices, so (H, G) -> (s H, s G) keeps [1/2, 1], and s times a
+    Riemannian matrix is still refused."""
+    with pytest.raises(NonLorentzianMetric):
+        admissible_c_interval(scale * ETA, scale * np.eye(4))
+    interval = admissible_c_interval(scale * np.diag([-0.5, 1.0, 1.0, 1.0]), scale * ETA)
+    assert (interval.lo, interval.hi) == pytest.approx((0.5, 1.0), rel=1e-12)
 
 
 def test_interval_ceiling_hit():
@@ -188,6 +201,47 @@ def test_per_point_intervals_match_closed_form(chart, alpha):
         assert lo == pytest.approx(alpha, abs=1e-9)
     for hi in (stats.c_hi_min, stats.c_hi_max):
         assert hi == pytest.approx(1.0, abs=1e-9)
+
+
+def _scaled_certificate(chart, alpha, s, lam, ceiling):
+    """certify_region for the chart's metric times s and f_alpha times s * lam,
+    on the chart's box at 2 samples per axis."""
+    model, f = (MINK, canonical_field(alpha)) if chart == "minkowski-cartesian" \
+        else _closed_form_case(chart, alpha)
+    d = model.dimension
+    scaled = SpacetimeModel.from_components(
+        model.name, model.coordinate_names,
+        {(i, j): f"{s!r}*({to_source(model.components[i][j])})"
+         for i in range(d) for j in range(i, d)},
+        singular_loci=[to_source(locus) for locus in model.singular_loci],
+        sample_box=model.sample_box)
+    field = scaled.field(f"{s * lam!r}*({to_source(f.ast)})")
+    return certify_region(scaled, field, ConvexityQuery(region=model.sample_box,
+                                                        samples_per_axis=2,
+                                                        c_search_ceiling=ceiling))
+
+
+@pytest.mark.parametrize("chart", ["minkowski-cartesian", "minkowski-spherical", "milne"])
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.2])
+def test_certificates_are_scale_covariant(chart, alpha):
+    """Under (g, f) -> (s g, s f) the admissible c do not move, and under
+    f -> lam f they scale by lam: the verdict, witness and signature labels
+    stay those of s = lam = 1, and the interval divided by lam agrees to
+    1e-12, with the ceiling scaled by lam and with it fixed above lam."""
+    base = _scaled_certificate(chart, alpha, 1.0, 1.0, 1e3)
+    for s in (1e-6, 1e-3, 1e3, 1e6):
+        for lam in (1e-12, 1e-9, 1e-4, 1.0, 1e4, 1e8):
+            for ceiling in (1e3 * lam, max(1e3, 10.0 * lam)):
+                cert = _scaled_certificate(chart, alpha, s, lam, ceiling)
+                case = f"s = {s!r}, lam = {lam!r}, ceiling = {ceiling!r}"
+                assert (cert.verdict, cert.witness, cert.signature_labels) == \
+                    (base.verdict, base.witness, base.signature_labels), case
+                if base.c_interval is None:
+                    assert cert.c_interval is None, case
+                    continue
+                assert cert.c_interval.lo / lam == pytest.approx(base.c_interval.lo, rel=1e-12)
+                assert cert.c_interval.hi / lam == pytest.approx(base.c_interval.hi, rel=1e-12)
+                assert cert.c_interval.ceiling_hit == base.c_interval.ceiling_hit, case
 
 
 @pytest.mark.parametrize("chart", ["minkowski-spherical", "milne"])

@@ -14,6 +14,7 @@ from stconvex import (NullGradient, Point, SingularMetric, TangentVector, Unknow
 from stconvex.expressions import eval_jet2
 from stconvex import DomainError, geometry
 from stconvex.expressions import compile_jet1, to_source
+from stconvex.convexity import PSD_TOLERANCE
 from stconvex.geometry import SpacetimeModel, christoffels_from, geodesic_acceleration
 
 from conftest import (fd_christoffels, fd_gradient, fd_hessian,
@@ -97,8 +98,8 @@ def test_degenerate_determinant_rejected():
     degenerate = SpacetimeModel.from_components(
         name="degenerate", coordinate_names=("t", "x"),
         components={(0, 0): "-1", (1, 1): "0.0"})
-    # the zero eigenvalue also breaks the signature: the determinant check fires first
-    with pytest.raises(SingularMetric, match=r"\|det g\| = 0\.000e\+00 below tolerance"):
+    # the zero eigenvalue also breaks the signature: the condition cap fires first
+    with pytest.raises(SingularMetric, match=r"condition estimate inf exceeds 1e\+12"):
         eval_metric(degenerate, Point((0.0, 0.0)))
 
 
@@ -108,6 +109,23 @@ def test_condition_cap_rejected():
         components={(0, 0): "-1", (1, 1): "1e13"})
     with pytest.raises(SingularMetric, match=r"condition estimate 1\.000e\+13 exceeds 1e\+12"):
         eval_metric(stiff, Point((0.0, 0.0)))
+
+
+def test_condition_cap_and_zero_eigenvalue_rule_agree():
+    """A metric within the condition cap has no zero eigenvalue, at any scale:
+    s * diag(-1, k) with k at and next to the cap is either accepted as
+    Lorentzian or refused as singular, never as of the wrong signature."""
+    refused = []
+    for scale in (1e-9, 1.0, 3.7e5):
+        for k in (float(np.nextafter(1e12, 0.0)), 1e12, float(np.nextafter(1e12, np.inf))):
+            model = SpacetimeModel.from_components(
+                name="edge", coordinate_names=("t", "x"),
+                components={(0, 0): repr(-scale), (1, 1): repr(scale * k)})
+            try:
+                eval_metric(model, Point((0.0, 0.0)))
+            except SingularMetric:
+                refused.append((scale, k))
+    assert [k for scale, k in refused if scale == 1.0] == [1e12, np.nextafter(1e12, np.inf)]
 
 
 def test_inverse_is_inverse():
@@ -171,24 +189,33 @@ def test_christoffels_from_matches_einsum_reference(rng):
 
 
 def numpy_sign_counts(eigenvalues, tol):
-    """The array version of _sign_counts, kept as its reference."""
+    """The array version of _sign_counts, kept as its reference: zero means
+    |lambda| <= tol * max |lambda|."""
     eigenvalues = np.asarray(eigenvalues)
-    negative = int(np.sum(eigenvalues < -tol))
-    zero = int(np.sum(np.abs(eigenvalues) <= tol))
+    bound = tol * np.abs(eigenvalues).max()
+    negative = int(np.sum(eigenvalues < -bound))
+    zero = int(np.sum(np.abs(eigenvalues) <= bound))
     return negative, zero, len(eigenvalues) - negative - zero
 
 
-@pytest.mark.parametrize("tol", [geometry.SIGNATURE_TOL, 1e-3])
+@pytest.mark.parametrize("tol", [geometry.SIGNATURE_TOL, PSD_TOLERANCE, 1e-3])
 def test_sign_counts_match_the_array_version(rng, tol):
-    edges = [tol, -tol, 0.0, -0.0, np.nextafter(tol, 1.0), np.nextafter(tol, 0.0),
-             np.nextafter(-tol, -1.0), np.nextafter(-tol, 0.0)]
+    """Values on, just inside and just outside the zero band of the largest
+    |value|, at sizes from 1e-12 to 1e12, and all-zero lists."""
     for _ in range(300):
-        pool = np.concatenate((edges, rng.normal(scale=10.0 * tol, size=4),
-                               rng.normal(size=2)))
+        largest = 10.0 ** rng.uniform(-12.0, 12.0)
+        bound = tol * largest
+        edges = [bound, -bound, 0.0, -0.0, np.nextafter(bound, np.inf),
+                 np.nextafter(bound, 0.0), np.nextafter(-bound, -np.inf),
+                 np.nextafter(-bound, 0.0)]
+        pool = np.concatenate((edges, rng.normal(scale=10.0 * bound, size=4)))
         values = rng.choice(pool, size=int(rng.integers(1, 7)))
+        if rng.random() < 0.9:
+            values = rng.permutation(np.append(values, rng.choice([largest, -largest])))
         counts = geometry._sign_counts(values.tolist(), tol)
         assert counts == numpy_sign_counts(values, tol)
         assert all(type(c) is int for c in counts)
+    assert geometry._sign_counts([0.0, -0.0, 0.0], tol) == (0, 3, 0)
 
 
 def test_metric_compatibility(rng):
