@@ -20,8 +20,13 @@ inequality) are checked separately and neither is assumed to imply the other.
 
 Grid points are independent and the interval-intersection reduction is
 associative and commutative, so the scan may be partitioned arbitrarily
-without changing the certificate; this implementation scans serially in
-row-major grid order, which also fixes the witness deterministically.
+without changing the certificate. This implementation evaluates the metric
+and the Hessian point by point in row-major grid order, so an evaluation
+error names the first failing point, and runs the signature and interval
+oracle once per chunk of GRID_CHUNK points on the stacked matrices; the
+reduction then visits the chunk's points in grid order, which fixes the
+witness deterministically. A stacked oracle call computes every row as a
+single-matrix call would, so the certificate does not depend on the chunk.
 """
 
 from __future__ import annotations
@@ -42,6 +47,9 @@ from .geometry import (Point, SpacetimeModel, _sign_counts, covariant_hessian,
 ENDPOINT_RESOLUTION = 1e-9
 #: defaults of the (relative) PSD tolerance and of the c search ceiling
 PSD_TOLERANCE, C_SEARCH_CEILING = 1e-10, 1e3
+#: grid points per stacked oracle call in certify_region: numpy's per-call
+#: overhead is shared by the chunk, and memory stays O(chunk), not O(grid)
+GRID_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -67,9 +75,23 @@ class SignatureDescriptor:
         return self.label == "Lorentzian"
 
 
-def hessian_signature(h: np.ndarray, tol: float = PSD_TOLERANCE) -> SignatureDescriptor:
-    """Sign counts of H's eigenvalues, zero meaning |lambda| <= tol * max |lambda|."""
-    return SignatureDescriptor(*_sign_counts(np.linalg.eigvalsh(h).tolist(), tol))
+def hessian_signature(h: np.ndarray, tol: float = PSD_TOLERANCE
+                      ) -> SignatureDescriptor | list[SignatureDescriptor]:
+    """Sign counts of H's eigenvalues, zero meaning |lambda| <= tol * max |lambda|.
+
+    H is one (d, d) matrix, giving one descriptor, or an (N, d, d) stack,
+    giving a list of N descriptors from one stacked eigvalsh call; a single
+    matrix is the N = 1 case of the same computation.
+    """
+    descriptors = [SignatureDescriptor(*_sign_counts(row, tol))
+                   for row in np.linalg.eigvalsh(_as_stack(h)).tolist()]
+    return descriptors if np.ndim(h) == 3 else descriptors[0]
+
+
+def _as_stack(m) -> np.ndarray:
+    """A (d, d) matrix or an (N, d, d) stack as an (N, d, d) float array."""
+    m = np.asarray(m, dtype=float)
+    return m.reshape(-1, *m.shape[-2:])
 
 
 @dataclass(frozen=True)
@@ -92,7 +114,8 @@ class CInterval:
 
 
 def admissible_c_interval(h: np.ndarray, g: np.ndarray, tol: float = PSD_TOLERANCE,
-                          ceiling: float = C_SEARCH_CEILING) -> CInterval | None:
+                          ceiling: float = C_SEARCH_CEILING
+                          ) -> CInterval | None | list[CInterval | None]:
     """The interval {c in (0, ceiling] : H - cG is PSD}, or None when empty.
 
     H - cG passes when its smallest eigenvalue is >= -tol (||H|| + c ||G||),
@@ -103,37 +126,60 @@ def admissible_c_interval(h: np.ndarray, g: np.ndarray, tol: float = PSD_TOLERAN
     are accurate to 1e-9 relative to max |pencil root| when the pencil is
     diagonalizable and to about 1e-7 at a defective root, where eigvals
     itself is only accurate to sqrt(eps). G must be Lorentzian.
+
+    H and G are (d, d) matrices, giving one result, or (N, d, d) stacks of
+    N pencils, giving a list of N results; each numpy.linalg routine then
+    runs once for the whole stack, and a single pencil is the N = 1 case.
+    Every row is computed as it would be alone, so a stack's results equal
+    the per-pencil results exactly. NonLorentzianMetric is raised when any
+    row's G is not Lorentzian.
     """
-    h = np.asarray(h, dtype=float)
-    g = np.asarray(g, dtype=float)
-    g_eigenvalues = np.linalg.eigvalsh(g).tolist()
-    if _sign_counts(g_eigenvalues)[:2] != (1, 0):
-        raise NonLorentzianMetric("the matrix supplied as the metric is not Lorentzian")
-    g_norm = max(-g_eigenvalues[0], g_eigenvalues[-1])
+    hs, gs = _as_stack(h), _as_stack(g)
+    g_norms = []
+    for g_eigenvalues in np.linalg.eigvalsh(gs).tolist():
+        if _sign_counts(g_eigenvalues)[:2] != (1, 0):
+            raise NonLorentzianMetric("the matrix supplied as the metric is not Lorentzian")
+        g_norms.append(max(-g_eigenvalues[0], g_eigenvalues[-1]))
 
     # An endpoint of the admissible set is a c where H - cG turns singular: a
     # pencil eigenvalue. A defective root comes back as a near-real complex
-    # pair, so every eigenvalue's real part is a candidate.
-    roots = sorted(np.linalg.eigvals(np.linalg.solve(g, h)).real.tolist())
-    scale = max(-roots[0], roots[-1])
-    probes = [0.0]
-    for c in roots:
-        if 0.0 < c < ceiling and c - probes[-1] > 1e-12 * scale:
-            probes.append(c)
-    if ceiling - probes[-1] > 1e-12 * scale:
-        probes.append(ceiling)
+    # pair, so every eigenvalue's real part is a candidate. Each row's probes
+    # are padded to the common width 0, d roots, ceiling by repeating its
+    # last probe, which tests the same matrix again and so passes or fails
+    # with it.
+    width = hs.shape[-1] + 2
+    probe_rows, scales, last = [], [], []
+    for roots in np.linalg.eigvals(np.linalg.solve(gs, hs)).real.tolist():
+        roots.sort()
+        scale = max(-roots[0], roots[-1])
+        probes = [0.0]
+        for c in roots:
+            if 0.0 < c < ceiling and c - probes[-1] > 1e-12 * scale:
+                probes.append(c)
+        if ceiling - probes[-1] > 1e-12 * scale:
+            probes.append(ceiling)
+        last.append(2 * len(probes) - 2)  # the index of the last real probe in cs
+        probe_rows.append(probes + probes[-1:] * (width - len(probes)))
+        scales.append(scale)
     # the probes and the segment midpoints, tested in one stacked call; the
     # feasible set is an interval, so its extreme feasible probes are its ends
-    cs = np.empty(2 * len(probes) - 1)
-    cs[0::2] = probes
-    cs[1::2] = 0.5 * (cs[:-1:2] + cs[2::2])
-    eigenvalues = np.linalg.eigvalsh(h - cs[:, None, None] * g)
-    h_norm = max(-eigenvalues[0, 0], eigenvalues[0, -1])  # row 0 is c = 0: H itself
-    feasible = np.flatnonzero(eigenvalues[:, 0] >= -tol * (h_norm + cs * g_norm))
-    if feasible.size == 0 or cs[feasible[-1]] <= ENDPOINT_RESOLUTION * scale:
-        return None
-    return CInterval(float(cs[feasible[0]]), float(cs[feasible[-1]]),
-                     bool(feasible[-1] == cs.size - 1))
+    cs = np.empty((len(scales), 2 * width - 1))
+    cs[:, 0::2] = probe_rows
+    cs[:, 1::2] = 0.5 * (cs[:, :-1:2] + cs[:, 2::2])
+    eigenvalues = np.linalg.eigvalsh(hs[:, None] - cs[:, :, None, None] * gs[:, None])
+    # column 0 is c = 0: H itself
+    h_norms = np.maximum(-eigenvalues[:, 0, 0], eigenvalues[:, 0, -1])
+    feasible = eigenvalues[:, :, 0] >= -tol * (h_norms[:, None] + cs * np.array(g_norms)[:, None])
+    firsts = feasible.argmax(axis=1).tolist()
+    tops = (cs.shape[1] - 1 - feasible[:, ::-1].argmax(axis=1)).tolist()
+    intervals = []
+    for row, any_feasible, first, top, scale, last_probe in zip(
+            cs.tolist(), feasible.any(axis=1).tolist(), firsts, tops, scales, last):
+        if not any_feasible or row[top] <= ENDPOINT_RESOLUTION * scale:
+            intervals.append(None)
+        else:
+            intervals.append(CInterval(row[first], row[top], top >= last_probe))
+    return intervals if np.ndim(h) == 3 else intervals[0]
 
 
 @dataclass(frozen=True)
@@ -197,8 +243,13 @@ class ConvexityCertificate:
 
 
 def grid_points(query: ConvexityQuery) -> list[Point]:
+    return [Point(coords) for coords in _grid_coordinates(query)]
+
+
+def _grid_coordinates(query: ConvexityQuery):
+    """The grid's coordinate tuples, lazily, in row-major order."""
     axes = [np.linspace(lo, hi, query.samples_per_axis) for lo, hi in query.region]
-    return [Point(coords) for coords in itertools.product(*axes)]
+    return itertools.product(*axes)
 
 
 def certify_region(model: SpacetimeModel, f: ScalarField,
@@ -210,33 +261,41 @@ def certify_region(model: SpacetimeModel, f: ScalarField,
     witness = None
     lorentzian_everywhere = True
     labels = set()
-    los, his = [], []
-    for point in grid_points(query):
-        try:
-            metric_at = evaluator.metric_at(point)
-            h = covariant_hessian(f, model, point, metric_at=metric_at)
-        except ToolkitError as exc:
-            exc.args = (f"{exc} [at grid point {point.coordinates}]",)  # attributes kept
-            raise
-        descriptor = hessian_signature(h, query.psd_tolerance)
-        labels.add(descriptor.label)
-        if not descriptor.is_lorentzian:
-            lorentzian_everywhere = False
-        interval = admissible_c_interval(h, metric_at.g, query.psd_tolerance,
-                                         query.c_search_ceiling)
-        if interval is not None:
-            los.append(interval.lo)
-            his.append(interval.hi)
-        if running is not None:
-            running = interval if interval is None else running.intersect(interval)
-            if running is None and witness is None:
-                witness = point
+    lo_min = hi_min = math.inf
+    lo_max = hi_max = -math.inf
+    coordinates = _grid_coordinates(query)
+    while chunk := [Point(c) for c in itertools.islice(coordinates, GRID_CHUNK)]:
+        hs, gs = [], []
+        for point in chunk:
+            try:
+                metric_at = evaluator.metric_at(point)
+                hs.append(covariant_hessian(f, model, point, metric_at=metric_at))
+            except ToolkitError as exc:
+                exc.args = (f"{exc} [at grid point {point.coordinates}]",)  # attributes kept
+                raise
+            gs.append(metric_at.g)
+        hs, gs = np.array(hs), np.array(gs)
+        descriptors = hessian_signature(hs, query.psd_tolerance)
+        intervals = admissible_c_interval(hs, gs, query.psd_tolerance, query.c_search_ceiling)
+        for point, descriptor, interval in zip(chunk, descriptors, intervals):
+            labels.add(descriptor.label)
+            if not descriptor.is_lorentzian:
+                lorentzian_everywhere = False
+            if interval is not None:
+                lo_min, lo_max = min(lo_min, interval.lo), max(lo_max, interval.lo)
+                hi_min, hi_max = min(hi_min, interval.hi), max(hi_max, interval.hi)
+            if running is not None:
+                running = interval if interval is None else running.intersect(interval)
+                if running is None and witness is None:
+                    witness = point
+    any_interval = lo_min <= lo_max
+    nan = float("nan")
     stats = PerPointStats(
         samples=query.samples_per_axis ** model.dimension,
-        c_lo_min=min(los) if los else float("nan"),
-        c_lo_max=max(los) if los else float("nan"),
-        c_hi_min=min(his) if his else float("nan"),
-        c_hi_max=max(his) if his else float("nan"),
+        c_lo_min=lo_min if any_interval else nan,
+        c_lo_max=lo_max if any_interval else nan,
+        c_hi_min=hi_min if any_interval else nan,
+        c_hi_max=hi_max if any_interval else nan,
     )
     if running is None:
         verdict = "violated"

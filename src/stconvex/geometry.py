@@ -28,7 +28,8 @@ CONDITION_CAP = 1e12
 SIGNATURE_TOL = 1 / CONDITION_CAP
 #: minimum allowed distance (in the locus expression's value) from singular loci
 LOCUS_GUARD = 1e-6
-#: |g(V, V)| below this classifies V as null
+#: |g(V, V)| at most this classifies V as null; a level-set gradient df is null
+#: when |df . g^-1 df| is at most this times |df| |g^-1 df| (Euclidean norms)
 NULL_TOL = 1e-10
 
 
@@ -355,7 +356,10 @@ def _gradient_data(f, model, p, metric_at=None):
     jet = field_jet(f, model, p)
     grad_up = metric_at.g_inverse @ jet.gradient
     q = float(jet.gradient @ grad_up)
-    if abs(q) < NULL_TOL:
+    # null relative to the Cauchy-Schwarz bound |q| <= |df| |g^-1 df|, which
+    # scales as q does under f -> lambda f and g -> s g; a zero gradient is null
+    if abs(q) <= NULL_TOL * math.sqrt(float(jet.gradient @ jet.gradient)
+                                      * float(grad_up @ grad_up)):
         raise NullGradient(f"grad f . grad f = {q:.3e} at {p.coordinates}; "
                            "the level set is degenerate there")
     eps = 1 if q > 0 else -1

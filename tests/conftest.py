@@ -8,8 +8,11 @@ machinery except for plain value evaluation.
 import numpy as np
 import pytest
 
+from stconvex.convexity import (CInterval, ConvexityCertificate, PerPointStats,
+                                admissible_c_interval, grid_points, hessian_signature)
+from stconvex.errors import ToolkitError
 from stconvex.expressions import eval_value
-from stconvex.geometry import christoffels_from
+from stconvex.geometry import christoffels_from, covariant_hessian, evaluator_for
 
 
 def fd_derivative(fn, x, axis, h=1e-3):
@@ -92,6 +95,60 @@ def spherical_to_cartesian(p):
         [0.0, ct, -r * st, 0.0],
     ])
     return point, jac
+
+
+def certify_region_per_point(model, f, query):
+    """The one-point-at-a-time region scan that `certify_region` replaced:
+    each grid point's metric, Hessian, signature and interval in row-major
+    order, with the oracle called on single matrices."""
+    query.validate(model.dimension)
+    evaluator = evaluator_for(model)
+    running = CInterval(0.0, query.c_search_ceiling)
+    witness = None
+    lorentzian_everywhere = True
+    labels = set()
+    los, his = [], []
+    for point in grid_points(query):
+        try:
+            metric_at = evaluator.metric_at(point)
+            h = covariant_hessian(f, model, point, metric_at=metric_at)
+        except ToolkitError as exc:
+            exc.args = (f"{exc} [at grid point {point.coordinates}]",)
+            raise
+        descriptor = hessian_signature(h, query.psd_tolerance)
+        labels.add(descriptor.label)
+        if not descriptor.is_lorentzian:
+            lorentzian_everywhere = False
+        interval = admissible_c_interval(h, metric_at.g, query.psd_tolerance,
+                                         query.c_search_ceiling)
+        if interval is not None:
+            los.append(interval.lo)
+            his.append(interval.hi)
+        if running is not None:
+            running = interval if interval is None else running.intersect(interval)
+            if running is None and witness is None:
+                witness = point
+    stats = PerPointStats(
+        samples=query.samples_per_axis ** model.dimension,
+        c_lo_min=min(los) if los else float("nan"),
+        c_lo_max=max(los) if los else float("nan"),
+        c_hi_min=min(his) if his else float("nan"),
+        c_hi_max=max(his) if his else float("nan"),
+    )
+    if running is None:
+        verdict = "violated"
+    elif running.lo > 0.0 and lorentzian_everywhere:
+        verdict = "certified"
+    else:
+        verdict = "degenerate"
+        witness = None
+    return ConvexityCertificate(
+        verdict=verdict, c_interval=running, witness=witness, per_point_stats=stats,
+        lorentzian_hessian_everywhere=lorentzian_everywhere,
+        grid=(query.samples_per_axis,) * model.dimension,
+        psd_tolerance=query.psd_tolerance, ceiling=query.c_search_ceiling,
+        signature_labels=tuple(sorted(labels)),
+    )
 
 
 @pytest.fixture

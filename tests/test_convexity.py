@@ -1,16 +1,21 @@
 """Admissible-c intervals, Hessian signatures, and region certification."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stconvex import (CInterval, ConvexityQuery, NonLorentzianMetric, NullGradient, Point,
-                      SingularMetric, SpacetimeModel, UnknownSymbol, admissible_c_interval,
-                      builtin_models, canonical_field, canonical_field_spherical,
-                      certify_region, covariant_hessian, gradient_invariant,
-                      hessian_signature)
+from stconvex import (CInterval, ConvexityQuery, DomainError, NonLorentzianMetric,
+                      NullGradient, Point, SingularMetric, SpacetimeModel, UnknownSymbol,
+                      admissible_c_interval, builtin_models, canonical_field,
+                      canonical_field_spherical, certify_region, covariant_hessian,
+                      gradient_invariant, hessian_signature)
+from stconvex.convexity import GRID_CHUNK, SignatureDescriptor, grid_points
 from stconvex.expressions import to_source
+
+from conftest import certify_region_per_point, random_lorentzian
 
 CAT = builtin_models()
 MINK = CAT.model("minkowski-cartesian")
@@ -165,6 +170,59 @@ def test_signature_riemannian():
 
 def test_signature_indefinite():
     assert hessian_signature(np.diag([-1.0, -1.0, 1.0, 1.0])).label == "indefinite"
+
+
+# --------------------------------------------------------------------------
+# stacked oracle
+# --------------------------------------------------------------------------
+
+def _pencil_stack(rng):
+    """(H, G) rows of every kind the probe rules distinguish, with G either
+    eta or a random non-diagonal Lorentzian metric."""
+    k = np.array([1.0, 1.0, 0.0, 0.0])
+    gk = ETA @ k
+    hs, gs = [], []
+    for _ in range(24):  # random pencils: diagonalizable, some with empty intervals
+        hs.append(_random_symmetric(rng))
+        gs.append(ETA if len(hs) % 2 else random_lorentzian(rng, 4))
+    for _ in range(8):  # defective: the double root c* returned as a near-real pair
+        c_star, a, s = rng.uniform(0.2, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        hs.append(c_star * ETA + a * np.outer(gk, gk) + np.diag([0.0, 0.0, s, s]))
+        gs.append(ETA)
+    hs += [np.diag([-5.0, 10.0, 10.0, 10.0]),  # rides the ceiling 8
+           np.zeros((4, 4)),  # empty
+           ETA.copy(),  # the single point {1}
+           np.diag([-0.5, 1.0, 1.0 + 5e-13, 1.0 + 2e-12]),  # roots closer than the gap
+           np.diag([-0.5, 0.5 + 1e-13, 1.0, 1.0])]  # a one-point interval near 1/2
+    gs += [ETA] * 5
+    return np.array(hs), np.array(gs)
+
+
+@pytest.mark.parametrize("ceiling", [8.0, 20.0, 1e3])
+def test_stacked_oracle_equals_single_calls(rng, ceiling):
+    """An (N, 4, 4) stack gives exactly the list of the single-matrix results."""
+    hs, gs = _pencil_stack(rng)
+    singles = [admissible_c_interval(h, g, ceiling=ceiling) for h, g in zip(hs, gs)]
+    assert admissible_c_interval(hs, gs, ceiling=ceiling) == singles
+    assert None in singles
+    assert any(i is not None and i.ceiling_hit for i in singles) == (ceiling == 8.0)
+    assert any(i is not None and 0.0 < i.lo < i.hi < ceiling for i in singles)
+    assert hessian_signature(hs) == [hessian_signature(h) for h in hs]
+    labels = {d.label for d in hessian_signature(hs)}
+    assert {"Lorentzian", "degenerate", "indefinite"} <= labels
+
+
+def test_single_matrix_returns_one_result():
+    assert isinstance(admissible_c_interval(np.diag([-0.5, 1.0, 1.0, 1.0]), ETA), CInterval)
+    assert admissible_c_interval(np.zeros((4, 4)), ETA) is None
+    assert isinstance(hessian_signature(ETA), SignatureDescriptor)
+    assert admissible_c_interval(ETA[None], ETA[None]) == [CInterval(1.0, 1.0)]
+
+
+def test_non_lorentzian_row_in_a_stack_raises():
+    gs = np.array([ETA, ETA, np.eye(4), ETA])
+    with pytest.raises(NonLorentzianMetric):
+        admissible_c_interval(np.array([ETA] * 4), gs)
 
 
 # --------------------------------------------------------------------------
@@ -381,3 +439,90 @@ def test_grid_point_suffix_keeps_the_exception(field, region, error, attribute, 
 def test_query_axis_count_must_match_the_chart():
     with pytest.raises(ValueError, match="query region has 3 axes, chart has 4"):
         certify_region(MINK, canonical_field(0.5), ConvexityQuery(region=BOX[:3]))
+
+
+# --------------------------------------------------------------------------
+# chunked scan against the per-point scan
+# --------------------------------------------------------------------------
+
+def _exact(cert):
+    """Every field of a certificate, floats as float.hex (NaN compares equal)."""
+    def exact(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, tuple):
+            return tuple(map(exact, value))
+        return value
+    return exact(dataclasses.astuple(cert))
+
+
+UNIT_BOX = ((0.0, 1.0),) * 4
+#: -t^2 (0.2 + b t + c x + d y) / 2 plus a spatial paraboloid: H_tt grows along
+#: the row-major order, so the running interval empties at a chosen grid point
+_GROWING = "0.5*(x^2+y^2+z^2) - 0.5*t^2*(0.2 + {}*t + {}*x + {}*y)"
+
+
+_SCANS = {  # id -> (model, field, region, samples per axis, witness index or None)
+    "alpha-1.2-3": (MINK, canonical_field(1.2), BOX, 3, 0),
+    "growing-4-second-and-last": (MINK, MINK.field(_GROWING.format(0.2, 0.1, 0.0)),
+                                  UNIT_BOX, 4, 208),
+    "growing-5-second": (MINK, MINK.field(_GROWING.format(0.5, 0.0, 0.1)), UNIT_BOX, 5, 250),
+    "growing-5-last": (MINK, MINK.field(_GROWING.format(0.2, 0.1, 0.0)), UNIT_BOX, 5, 525),
+    "growing-6-second": (MINK, MINK.field(_GROWING.format(2.0, 0.0, 0.0)), UNIT_BOX, 6, 216),
+    "growing-6-last": (MINK, MINK.field(_GROWING.format(0.1, 0.15, 0.05)), UNIT_BOX, 6, 1284),
+    "riemannian-5": (MINK, MINK.field("0.5*(x^2+y^2+z^2)"), BOX, 5, None),
+    **{f"alpha-0.5-{n}": (MINK, canonical_field(0.5), BOX, n, None) for n in (3, 4, 5, 6)},
+    **{f"{chart}-{alpha}-{n}": (*_closed_form_case(chart, alpha), CAT.model(chart).sample_box,
+                                n, None)
+       for n in (3, 4, 5, 6) for chart, alpha in (("milne", 0.7), ("minkowski-spherical", 1.0))},
+}
+
+
+@pytest.mark.parametrize("model, field, region, n, witness_index", _SCANS.values(),
+                         ids=_SCANS.keys())
+def test_chunked_scan_equals_the_per_point_scan(model, field, region, n, witness_index):
+    """Verdict, witness, interval ends, ceiling_hit, per-point stats and labels
+    equal those of the per-point scan to the bit, on grids of one to eleven
+    chunks; violated grids put their witness in the first, second or last chunk."""
+    query = ConvexityQuery(region=region, samples_per_axis=n)
+    cert = certify_region(model, field, query)
+    assert _exact(cert) == _exact(certify_region_per_point(model, field, query))
+    if witness_index is None:
+        assert cert.witness is None
+    else:
+        assert cert.verdict == "violated"
+        assert cert.witness == grid_points(query)[witness_index]
+        assert witness_index // GRID_CHUNK in (0, 1, (n ** 4 - 1) // GRID_CHUNK)
+
+
+def test_domain_error_from_a_later_chunk_names_its_grid_point():
+    """log(1.5 - t) is undefined only on the last t slab, 1080 points (eight
+    chunks) into a 6^4 grid; the error and its suffix are the per-point scan's."""
+    field = MINK.field("log(1.5 - t) + 0.5*x^2")
+    query = ConvexityQuery(region=((-1.0, 2.0),) + BOX[1:], samples_per_axis=6)
+    with pytest.raises(DomainError) as info:
+        certify_region(MINK, field, query)
+    with pytest.raises(DomainError) as reference:
+        certify_region_per_point(MINK, field, query)
+    assert str(info.value) == str(reference.value)
+    assert str(info.value).endswith("[at grid point (2.0, -1.0, -1.0, -1.0)]")
+    assert grid_points(query).index(Point((2.0, -1.0, -1.0, -1.0))) // GRID_CHUNK == 8
+
+
+def test_scan_memory_is_bounded_by_the_chunk():
+    """Points and matrices are held one chunk at a time, so the peak Python
+    allocation of a 9^4 scan (6561 points) is at most 1.5 times that of a 6^4
+    scan (1296 points)."""
+    f = canonical_field(0.5)
+
+    def peak(n):
+        query = ConvexityQuery(region=BOX, samples_per_axis=n)
+        tracemalloc.start()
+        try:
+            certify_region(MINK, f, query)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # compile and cache the evaluator and the field outside the measurement
+    assert peak(9) <= 1.5 * peak(6)

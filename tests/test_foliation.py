@@ -238,6 +238,16 @@ def test_milne_foliation_values():
         assert np.abs(h - tau ** 2 * unit).max() <= 1e-8
 
 
+@pytest.mark.parametrize("scale", ["1e-9", "1e-6", "1e-4", "1", "1e6"])
+def test_null_gradient_test_is_scale_free(scale):
+    """f -> lambda f keeps the level sets, so Tr K = 3/tau for every lambda > 0:
+    grad f . grad f = -lambda^2 is compared with |df| |g^-1 df|, not with a
+    fixed bound, which refused 1e-6*tau (grad f . grad f = -1e-12)."""
+    p = Point((1.3, 0.8, 1.1, 0.7))
+    assert mean_curvature(MILNE.field(f"{scale}*tau"), MILNE, p) == pytest.approx(
+        3.0 / 1.3, rel=1e-12)
+
+
 # --------------------------------------------------------------------------
 # closed form and barrier scan
 # --------------------------------------------------------------------------
