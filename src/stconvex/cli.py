@@ -8,10 +8,11 @@ Run configuration is a flat sectioned key = value text file:
 
     # comment
     [model]
-    builtin = schwarzschild-interior     # or an inline chart:
-    param[M] = 1.0                       # coordinates = t, x
+    builtin = minkowski-cartesian        # or an inline chart:
+                                         # coordinates = t, x
                                          # g[t,t] = "-1"
                                          # g[x,x] = "1"
+                                         # param[M] = 1.0
                                          # singular_loci = "x - 2*M"
     [field]
     builtin = canonical                  # requires alpha = ...
@@ -41,7 +42,7 @@ Run configuration is a flat sectioned key = value text file:
     maximal = true
 
     [foliate]
-    coordinate = tau
+    coordinate = t
     values = 0.5, 1, 2
     point = 1, 0.8, 1.0, 0.4
 

@@ -10,9 +10,10 @@ semidefinite. Since lambda_min(H - cG) is concave in c, the admissible set of
 c is an interval. H - cG can only change definiteness where it is singular,
 at an eigenvalue of the pencil (H, G), so the endpoints are the extreme
 pencil eigenvalues (or 0, or the search ceiling) that pass a PSD test
-(smallest eigenvalue, tolerance relative to H and cG). Region certificates
-intersect the per-point intervals over a coordinate-box grid; they are
-explicitly *sampled* certificates and record the grid used.
+(smallest eigenvalue, tolerance relative to H and cG), all from one
+fixed-width probe set. Region certificates intersect the per-point intervals
+over a coordinate-box grid; they are explicitly *sampled* certificates and
+record the grid used.
 
 A certificate also reports, independently, whether the Hessian itself has
 Lorentzian signature at every sample: the two clauses (signature and
@@ -23,10 +24,11 @@ associative and commutative, so the scan may be partitioned arbitrarily
 without changing the certificate. This implementation evaluates the metric
 and the Hessian point by point in row-major grid order, so an evaluation
 error names the first failing point, and runs the signature and interval
-oracle once per chunk of GRID_CHUNK points on the stacked matrices; the
-reduction then visits the chunk's points in grid order, which fixes the
-witness deterministically. A stacked oracle call computes every row as a
-single-matrix call would, so the certificate does not depend on the chunk.
+oracle once per chunk of GRID_CHUNK points, as array code over the stacked
+matrices; the reduction then visits the chunk's points in grid order, which
+fixes the witness deterministically. A stacked oracle call computes every
+row as a single-matrix call would, so the certificate does not depend on
+the chunk.
 """
 
 from __future__ import annotations
@@ -81,11 +83,21 @@ def hessian_signature(h: np.ndarray, tol: float = PSD_TOLERANCE
 
     H is one (d, d) matrix, giving one descriptor, or an (N, d, d) stack,
     giving a list of N descriptors from one stacked eigvalsh call; a single
-    matrix is the N = 1 case of the same computation.
+    matrix is the N = 1 case of the same computation. ValueError is raised
+    for a tol that is not finite and >= 0.
     """
-    descriptors = [SignatureDescriptor(*_sign_counts(row, tol))
-                   for row in np.linalg.eigvalsh(_as_stack(h)).tolist()]
+    _check_oracle_settings(tol)
+    counts = _sign_counts(np.linalg.eigvalsh(_as_stack(h)), tol)
+    descriptors = [SignatureDescriptor(*row) for row in zip(*(c.tolist() for c in counts))]
     return descriptors if np.ndim(h) == 3 else descriptors[0]
+
+
+def _check_oracle_settings(tol, ceiling=C_SEARCH_CEILING):
+    """ValueError unless 0 <= tol < inf and 0 < ceiling < inf."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"psd_tolerance = {tol!r} must be finite and >= 0")
+    if not 0.0 < ceiling < math.inf:
+        raise ValueError(f"c_search_ceiling = {ceiling!r} must be finite and > 0")
 
 
 def _as_stack(m) -> np.ndarray:
@@ -120,12 +132,14 @@ def admissible_c_interval(h: np.ndarray, g: np.ndarray, tol: float = PSD_TOLERAN
 
     H - cG passes when its smallest eigenvalue is >= -tol (||H|| + c ||G||),
     spectral norms: by Weyl's inequality rounding moves it by that order.
-    The probes are 0, the real part of every pencil eigenvalue in (0,
-    ceiling), the ceiling and the midpoints between them, all tested in one
-    stacked eigvalsh call; lo and hi are the extreme probes that pass. Ends
-    are accurate to 1e-9 relative to max |pencil root| when the pencil is
-    diagonalizable and to about 1e-7 at a defective root, where eigvals
-    itself is only accurate to sqrt(eps). G must be Lorentzian.
+    The probes are 0, the real parts of the d pencil eigenvalues, sorted and
+    clipped to [0, ceiling], the ceiling, and the midpoints between them, all
+    tested in one stacked eigvalsh call; lo and hi are the extreme probes
+    that pass, and ceiling_hit means hi is the ceiling. Ends are accurate to
+    1e-9 relative to max |pencil root| when the pencil is diagonalizable and
+    to about 1e-7 at a defective root, where eigvals itself is only accurate
+    to sqrt(eps). G must be Lorentzian; ValueError is raised for a tol that
+    is not finite and >= 0 or a ceiling that is not finite and > 0.
 
     H and G are (d, d) matrices, giving one result, or (N, d, d) stacks of
     N pencils, giving a list of N results; each numpy.linalg routine then
@@ -134,51 +148,35 @@ def admissible_c_interval(h: np.ndarray, g: np.ndarray, tol: float = PSD_TOLERAN
     the per-pencil results exactly. NonLorentzianMetric is raised when any
     row's G is not Lorentzian.
     """
+    _check_oracle_settings(tol, ceiling)
     hs, gs = _as_stack(h), _as_stack(g)
-    g_norms = []
-    for g_eigenvalues in np.linalg.eigvalsh(gs).tolist():
-        if _sign_counts(g_eigenvalues)[:2] != (1, 0):
-            raise NonLorentzianMetric("the matrix supplied as the metric is not Lorentzian")
-        g_norms.append(max(-g_eigenvalues[0], g_eigenvalues[-1]))
+    g_eigenvalues = np.linalg.eigvalsh(gs)
+    negative, zero, _ = _sign_counts(g_eigenvalues)
+    if np.any((negative != 1) | (zero != 0)):
+        raise NonLorentzianMetric("the matrix supplied as the metric is not Lorentzian")
+    g_norms = np.maximum(-g_eigenvalues[:, 0], g_eigenvalues[:, -1])
 
     # An endpoint of the admissible set is a c where H - cG turns singular: a
     # pencil eigenvalue. A defective root comes back as a near-real complex
-    # pair, so every eigenvalue's real part is a candidate. Each row's probes
-    # are padded to the common width 0, d roots, ceiling by repeating its
-    # last probe, which tests the same matrix again and so passes or fails
-    # with it.
-    width = hs.shape[-1] + 2
-    probe_rows, scales, last = [], [], []
-    for roots in np.linalg.eigvals(np.linalg.solve(gs, hs)).real.tolist():
-        roots.sort()
-        scale = max(-roots[0], roots[-1])
-        probes = [0.0]
-        for c in roots:
-            if 0.0 < c < ceiling and c - probes[-1] > 1e-12 * scale:
-                probes.append(c)
-        if ceiling - probes[-1] > 1e-12 * scale:
-            probes.append(ceiling)
-        last.append(2 * len(probes) - 2)  # the index of the last real probe in cs
-        probe_rows.append(probes + probes[-1:] * (width - len(probes)))
-        scales.append(scale)
-    # the probes and the segment midpoints, tested in one stacked call; the
-    # feasible set is an interval, so its extreme feasible probes are its ends
-    cs = np.empty((len(scales), 2 * width - 1))
-    cs[:, 0::2] = probe_rows
+    # pair, so every eigenvalue's real part is a candidate. A root outside
+    # [0, ceiling] is clipped onto an end, and a repeated probe tests the same
+    # matrix again, so it passes or fails with it.
+    roots = np.sort(np.linalg.eigvals(np.linalg.solve(gs, hs)).real, axis=-1)
+    scales = np.maximum(-roots[:, 0], roots[:, -1])
+    # the d + 2 probes and the d + 1 midpoints between them, ascending, in one stacked
+    # call; the feasible set is an interval, so its extreme feasible probes are its ends
+    cs = np.empty((len(roots), 2 * roots.shape[1] + 3))
+    cs[:, 0], cs[:, 2:-2:2], cs[:, -1] = 0.0, np.clip(roots, 0.0, ceiling), ceiling
     cs[:, 1::2] = 0.5 * (cs[:, :-1:2] + cs[:, 2::2])
     eigenvalues = np.linalg.eigvalsh(hs[:, None] - cs[:, :, None, None] * gs[:, None])
     # column 0 is c = 0: H itself
     h_norms = np.maximum(-eigenvalues[:, 0, 0], eigenvalues[:, 0, -1])
-    feasible = eigenvalues[:, :, 0] >= -tol * (h_norms[:, None] + cs * np.array(g_norms)[:, None])
-    firsts = feasible.argmax(axis=1).tolist()
-    tops = (cs.shape[1] - 1 - feasible[:, ::-1].argmax(axis=1)).tolist()
-    intervals = []
-    for row, any_feasible, first, top, scale, last_probe in zip(
-            cs.tolist(), feasible.any(axis=1).tolist(), firsts, tops, scales, last):
-        if not any_feasible or row[top] <= ENDPOINT_RESOLUTION * scale:
-            intervals.append(None)
-        else:
-            intervals.append(CInterval(row[first], row[top], top >= last_probe))
+    feasible = eigenvalues[:, :, 0] >= -tol * (h_norms[:, None] + cs * g_norms[:, None])
+    lo = np.where(feasible, cs, math.inf).min(axis=1)
+    hi = np.where(feasible, cs, -math.inf).max(axis=1)  # -inf: none feasible
+    empty = hi <= ENDPOINT_RESOLUTION * scales
+    intervals = [None if e else CInterval(a, b, b == ceiling)
+                 for e, a, b in zip(empty.tolist(), lo.tolist(), hi.tolist())]
     return intervals if np.ndim(h) == 3 else intervals[0]
 
 
@@ -198,10 +196,7 @@ class ConvexityQuery:
         if not isinstance(self.samples_per_axis, (int, np.integer)) or self.samples_per_axis < 2:
             raise ValueError(f"samples_per_axis must be at least 2 and an int, "
                              f"got {self.samples_per_axis!r}")
-        if not 0.0 <= self.psd_tolerance < math.inf:
-            raise ValueError(f"psd_tolerance = {self.psd_tolerance!r} must be finite and >= 0")
-        if not 0.0 < self.c_search_ceiling < math.inf:
-            raise ValueError(f"c_search_ceiling = {self.c_search_ceiling!r} must be finite and > 0")
+        _check_oracle_settings(self.psd_tolerance, self.c_search_ceiling)
         for axis, (lo, hi) in enumerate(self.region):
             if not lo < hi:
                 raise ValueError(f"region axis {axis}: lo = {lo!r} is not below hi = {hi!r}")
@@ -259,7 +254,6 @@ def certify_region(model: SpacetimeModel, f: ScalarField,
     evaluator = evaluator_for(model)
     running: CInterval | None = CInterval(0.0, query.c_search_ceiling)
     witness = None
-    lorentzian_everywhere = True
     labels = set()
     lo_min = hi_min = math.inf
     lo_max = hi_max = -math.inf
@@ -277,26 +271,20 @@ def certify_region(model: SpacetimeModel, f: ScalarField,
         hs, gs = np.array(hs), np.array(gs)
         descriptors = hessian_signature(hs, query.psd_tolerance)
         intervals = admissible_c_interval(hs, gs, query.psd_tolerance, query.c_search_ceiling)
-        for point, descriptor, interval in zip(chunk, descriptors, intervals):
-            labels.add(descriptor.label)
-            if not descriptor.is_lorentzian:
-                lorentzian_everywhere = False
+        labels.update(descriptor.label for descriptor in descriptors)
+        for point, interval in zip(chunk, intervals):
             if interval is not None:
                 lo_min, lo_max = min(lo_min, interval.lo), max(lo_max, interval.lo)
                 hi_min, hi_max = min(hi_min, interval.hi), max(hi_max, interval.hi)
             if running is not None:
                 running = interval if interval is None else running.intersect(interval)
-                if running is None and witness is None:
+                if running is None:
                     witness = point
-    any_interval = lo_min <= lo_max
-    nan = float("nan")
-    stats = PerPointStats(
-        samples=query.samples_per_axis ** model.dimension,
-        c_lo_min=lo_min if any_interval else nan,
-        c_lo_max=lo_max if any_interval else nan,
-        c_hi_min=hi_min if any_interval else nan,
-        c_hi_max=hi_max if any_interval else nan,
-    )
+    if lo_min > lo_max:  # no point had an interval
+        lo_min = lo_max = hi_min = hi_max = math.nan
+    stats = PerPointStats(samples=query.samples_per_axis ** model.dimension, c_lo_min=lo_min,
+                          c_lo_max=lo_max, c_hi_min=hi_min, c_hi_max=hi_max)
+    lorentzian_everywhere = labels == {"Lorentzian"}
     if running is None:
         verdict = "violated"
     elif running.lo > 0.0 and lorentzian_everywhere:

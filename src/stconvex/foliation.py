@@ -25,7 +25,7 @@ import numpy as np
 from . import expressions as ex
 from .errors import NonSpacelikeSlice, NotBlockForm, OutOfDomain, WrongSignature
 from .geometry import (SIGNATURE_TOL, MetricAt, Point, SpacetimeModel, TangentVector,
-                       _gradient_data, _inverse_and_christoffels,
+                       _gradient_data, _inverse_and_christoffels, _sign_counts,
                        covariant_hessian, covariant_hessian_from, eval_metric,
                        evaluator_for, field_jet)
 
@@ -179,7 +179,8 @@ def null_expansions(model: SpacetimeModel, base_point) -> tuple[float, float]:
     g_aa, g_ab, g_bb = ex.compile_value(block, base_names, params)(*values)
     gamma = np.array([[g_aa, g_ab], [g_ab, g_bb]])
     eigenvalues, vectors = np.linalg.eigh(gamma)
-    if not (eigenvalues[0] < 0.0 < eigenvalues[1]):
+    negative, zero, _ = _sign_counts(eigenvalues)
+    if (negative, zero) != (1, 0):
         raise WrongSignature(f"base block is not Lorentzian at {values}")
     u_hat = vectors[:, 0] / math.sqrt(-eigenvalues[0])
     s_hat = vectors[:, 1] / math.sqrt(eigenvalues[1])

@@ -28,8 +28,9 @@ CONDITION_CAP = 1e12
 SIGNATURE_TOL = 1 / CONDITION_CAP
 #: minimum allowed distance (in the locus expression's value) from singular loci
 LOCUS_GUARD = 1e-6
-#: |g(V, V)| at most this classifies V as null; a level-set gradient df is null
-#: when |df . g^-1 df| is at most this times |df| |g^-1 df| (Euclidean norms)
+#: V is null when |g(V, V)| is at most this times |V| |gV|, and a level-set
+#: gradient df when |df . g^-1 df| is at most this times |df| |g^-1 df|
+#: (Euclidean norms: the Cauchy-Schwarz bound)
 NULL_TOL = 1e-10
 
 
@@ -172,12 +173,17 @@ class VectorClass(enum.Enum):
 
 
 def _sign_counts(eigenvalues, tol=SIGNATURE_TOL):
-    """(negative, zero, positive) counts of float eigenvalues, zero meaning
-    |lambda| <= tol * max |lambda|, so the counts do not depend on units."""
-    bound = tol * max(map(abs, eigenvalues))
-    negative = sum(e < -bound for e in eigenvalues)
-    zero = sum(abs(e) <= bound for e in eigenvalues)
-    return negative, zero, len(eigenvalues) - negative - zero
+    """(negative, zero, positive) counts of eigenvalues along the last axis,
+    zero meaning |lambda| <= tol * max |lambda| over that axis, so the counts
+    do not depend on units: integer scalars for one (d,) array of
+    eigenvalues, (N,) arrays for an (N, d) block."""
+    eigenvalues = np.asarray(eigenvalues)
+    magnitudes = np.abs(eigenvalues)
+    # ufunc reductions skip the µs-scale Python wrappers of .max and .sum
+    bound = tol * np.maximum.reduce(magnitudes, axis=-1, keepdims=True)
+    negative = np.add.reduce(eigenvalues < -bound, axis=-1)
+    zero = np.add.reduce(magnitudes <= bound, axis=-1)
+    return negative, zero, eigenvalues.shape[-1] - negative - zero
 
 
 class MetricEvaluator:
@@ -244,19 +250,19 @@ class MetricEvaluator:
         self.guard(coords)
         g, dg = self.components(coords)
         if checks:
-            # one eigendecomposition gives both checks; a zero eigenvalue by the rule of
-            # _sign_counts is a 2-norm condition number of at least the cap, rejected first
+            # one eigendecomposition gives both checks; the condition cap is the zero
+            # rule of _sign_counts at SIGNATURE_TOL, so past it no eigenvalue is zero
             eigenvalues = np.linalg.eigvalsh(g).tolist()
             smallest, largest = min(map(abs, eigenvalues)), max(map(abs, eigenvalues))
             if smallest <= SIGNATURE_TOL * largest:
                 cond = largest / smallest if smallest else math.inf
                 raise SingularMetric(f"metric condition estimate {cond:.3e} exceeds "
                                      f"{CONDITION_CAP:.0e} at {coords}")
-            negative, zero, positive = _sign_counts(eigenvalues)
-            if (negative, zero) != (1, 0):
+            negative = sum(e < 0.0 for e in eigenvalues)
+            if negative != 1:
                 raise WrongSignature(
-                    f"metric signature ({negative} negative, {zero} zero, {positive} positive) "
-                    f"is not Lorentzian at {coords}")
+                    f"metric signature ({negative} negative, 0 zero, {self.dim - negative} "
+                    f"positive) is not Lorentzian at {coords}")
         return MetricAt(point, g, dg)
 
 
@@ -330,14 +336,16 @@ def covariant_hessian(f: ex.ScalarField, model: SpacetimeModel, p: Point,
 
 
 def classify_vector(metric_at: MetricAt, v: TangentVector) -> VectorClass:
-    """Causal character of V from the sign of g(V, V)."""
+    """Causal character of V from the sign of g(V, V), null when |g(V, V)| is
+    at most NULL_TOL |V| |gV|, so that the scale of V or g does not matter."""
     if v.base != metric_at.point:
         raise ValueError("vector is not based at the metric's point")
     comps = v.array()
     if comps.shape[0] != metric_at.g.shape[0]:
         raise ValueError("vector dimension does not match the chart")
-    q = float(comps @ metric_at.g @ comps)
-    if abs(q) <= NULL_TOL:
+    lowered = comps @ metric_at.g
+    q = float(lowered @ comps)
+    if abs(q) <= NULL_TOL * math.sqrt(float(comps @ comps) * float(lowered @ lowered)):
         return VectorClass.NULL
     return VectorClass.TIMELIKE if q < 0 else VectorClass.SPACELIKE
 

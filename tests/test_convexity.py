@@ -192,10 +192,17 @@ def _pencil_stack(rng):
     hs += [np.diag([-5.0, 10.0, 10.0, 10.0]),  # rides the ceiling 8
            np.zeros((4, 4)),  # empty
            ETA.copy(),  # the single point {1}
-           np.diag([-0.5, 1.0, 1.0 + 5e-13, 1.0 + 2e-12]),  # roots closer than the gap
-           np.diag([-0.5, 0.5 + 1e-13, 1.0, 1.0])]  # a one-point interval near 1/2
-    gs += [ETA] * 5
+           np.diag([-0.5, 1.0, 1.0 + 5e-13, 1.0 + 2e-12]),  # roots 1e-12 apart
+           np.diag([-0.5, 0.5 + 1e-13, 1.0, 1.0]),  # a one-point interval near 1/2
+           np.diag([-0.5, 1.0, 1.0, 1.0]),  # a triple root at hi = 1
+           -ETA, np.diag([1.0, 0.0, 0.0, 0.0]),  # every root <= 0: empty
+           _NEAR_CEILING]
+    gs += [ETA] * 9
     return np.array(hs), np.array(gs)
+
+
+#: a root 4e-12 below the ceiling 8, within 1e-12 of the largest |root| (10)
+_NEAR_CEILING = np.diag([-5.0, 8.0 - 4e-12, 10.0, 10.0])
 
 
 @pytest.mark.parametrize("ceiling", [8.0, 20.0, 1e3])
@@ -205,11 +212,49 @@ def test_stacked_oracle_equals_single_calls(rng, ceiling):
     singles = [admissible_c_interval(h, g, ceiling=ceiling) for h, g in zip(hs, gs)]
     assert admissible_c_interval(hs, gs, ceiling=ceiling) == singles
     assert None in singles
+    assert all(i.ceiling_hit == (i.hi == ceiling) for i in singles if i is not None)
     assert any(i is not None and i.ceiling_hit for i in singles) == (ceiling == 8.0)
     assert any(i is not None and 0.0 < i.lo < i.hi < ceiling for i in singles)
     assert hessian_signature(hs) == [hessian_signature(h) for h in hs]
     labels = {d.label for d in hessian_signature(hs)}
     assert {"Lorentzian", "degenerate", "indefinite"} <= labels
+
+
+def test_probe_rows_at_the_edges():
+    """A triple root at hi is one end, pencils whose roots are all <= 0 admit
+    no c > 0, and a root just below the ceiling leaves the ceiling as a
+    probe: ceiling_hit holds exactly when hi is the ceiling."""
+    triple = admissible_c_interval(np.diag([-0.5, 1.0, 1.0, 1.0]), ETA)
+    assert (triple.lo, triple.hi) == pytest.approx((0.5, 1.0), abs=1e-12)
+    assert not triple.ceiling_hit
+    assert admissible_c_interval(-ETA, ETA) is None
+    assert admissible_c_interval(np.diag([1.0, 0.0, 0.0, 0.0]), ETA) is None
+    interval = admissible_c_interval(_NEAR_CEILING, ETA, ceiling=8.0)
+    assert interval.lo == pytest.approx(5.0, abs=1e-12)
+    assert (interval.hi, interval.ceiling_hit) == (8.0, True)
+    # a tolerance far below 4e-12 / 18 fails the ceiling, so hi is the root
+    tight = admissible_c_interval(_NEAR_CEILING, ETA, tol=1e-15, ceiling=8.0)
+    assert 8.0 - 5e-12 < tight.hi < 8.0 and not tight.ceiling_hit
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: hessian_signature(np.diag([-0.5, 1.0, 1.0, 1.0]), math.nan), "psd_tolerance"),
+    (lambda: hessian_signature(ETA, -1e-10), "psd_tolerance"),
+    (lambda: hessian_signature(ETA[None], math.inf), "psd_tolerance"),
+    (lambda: admissible_c_interval(ETA, ETA, tol=math.nan), "psd_tolerance"),
+    (lambda: admissible_c_interval(ETA, ETA, tol=-1e-10), "psd_tolerance"),
+    (lambda: admissible_c_interval(ETA, ETA, ceiling=math.inf), "c_search_ceiling"),
+    (lambda: admissible_c_interval(ETA, ETA, ceiling=math.nan), "c_search_ceiling"),
+    (lambda: admissible_c_interval(ETA, ETA, ceiling=0.0), "c_search_ceiling"),
+    (lambda: admissible_c_interval(ETA[None], ETA[None], ceiling=-1.0), "c_search_ceiling"),
+], ids=["signature-nan", "signature-negative", "signature-inf", "interval-tol-nan",
+        "interval-tol-negative", "interval-ceiling-inf", "interval-ceiling-nan",
+        "interval-ceiling-zero", "interval-ceiling-negative"])
+def test_oracle_refuses_unusable_tolerance_and_ceiling(call, name):
+    """A NaN tolerance read diag(-1/2, 1, 1, 1) as Riemannian and every
+    interval as empty, and an infinite ceiling raised a RuntimeWarning."""
+    with pytest.raises(ValueError, match=name):
+        call()
 
 
 def test_single_matrix_returns_one_result():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from stconvex import (NonSpacelikeSlice, NotBlockForm, NullGradient,
-                      OutOfDomain, Point, SliceSpec, SpacetimeModel, WrongSignature,
+                      OutOfDomain, Point, SingularMetric, SliceSpec, SpacetimeModel,
+                      WrongSignature,
                       barrier_scan, builtin_models, canonical_field, eval_metric,
                       induced_metric, level_set_frame, mean_curvature, null_expansions,
                       schwarzschild_trk, second_fundamental_form, slice_laplacian,
@@ -379,6 +380,19 @@ def _spherical_block(g_tt, future=(1.0, 0.0)):
 def test_null_expansions_rejects_what_has_no_expansions(model, base_point, error, message):
     with pytest.raises(error, match=message):
         null_expansions(model, base_point)
+
+
+def test_null_expansions_refuses_a_block_the_metric_check_refuses():
+    """diag(-1, 1e-13) has condition 1e13: its zero eigenvalue by the relative
+    rule makes it no Lorentzian block, as eval_metric refuses the chart."""
+    model = SpacetimeModel.from_components(
+        name="thin", coordinate_names=("t", "r", "theta", "phi"),
+        components={(0, 0): "-1", (1, 1): "1e-13", (2, 2): "r^2", (3, 3): "r^2*sin(theta)^2"},
+        singular_loci=("r", "sin(theta)"), block_form=((0, 1), "r", (1.0, 0.0)))
+    with pytest.raises(SingularMetric):
+        eval_metric(model, Point((0.0, 1.0, 1.0, 1.0)))
+    with pytest.raises(WrongSignature, match="base block is not Lorentzian"):
+        null_expansions(model, (0.0, 1.0))
 
 
 def test_null_expansions_rejects_cross_terms():

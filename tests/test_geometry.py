@@ -188,34 +188,43 @@ def test_christoffels_from_matches_einsum_reference(rng):
             assert np.abs(g @ ginv - np.eye(d)).max() < 1e-12
 
 
-def numpy_sign_counts(eigenvalues, tol):
-    """The array version of _sign_counts, kept as its reference: zero means
+def list_sign_counts(eigenvalues, tol):
+    """The per-row pure-Python reference of _sign_counts: zero means
     |lambda| <= tol * max |lambda|."""
-    eigenvalues = np.asarray(eigenvalues)
-    bound = tol * np.abs(eigenvalues).max()
-    negative = int(np.sum(eigenvalues < -bound))
-    zero = int(np.sum(np.abs(eigenvalues) <= bound))
+    bound = tol * max(map(abs, eigenvalues))
+    negative = sum(e < -bound for e in eigenvalues)
+    zero = sum(abs(e) <= bound for e in eigenvalues)
     return negative, zero, len(eigenvalues) - negative - zero
 
 
 @pytest.mark.parametrize("tol", [geometry.SIGNATURE_TOL, PSD_TOLERANCE, 1e-3])
 def test_sign_counts_match_the_array_version(rng, tol):
-    """Values on, just inside and just outside the zero band of the largest
-    |value|, at sizes from 1e-12 to 1e12, and all-zero lists."""
-    for _ in range(300):
-        largest = 10.0 ** rng.uniform(-12.0, 12.0)
-        bound = tol * largest
-        edges = [bound, -bound, 0.0, -0.0, np.nextafter(bound, np.inf),
-                 np.nextafter(bound, 0.0), np.nextafter(-bound, -np.inf),
-                 np.nextafter(-bound, 0.0)]
-        pool = np.concatenate((edges, rng.normal(scale=10.0 * bound, size=4)))
-        values = rng.choice(pool, size=int(rng.integers(1, 7)))
-        if rng.random() < 0.9:
-            values = rng.permutation(np.append(values, rng.choice([largest, -largest])))
-        counts = geometry._sign_counts(values.tolist(), tol)
-        assert counts == numpy_sign_counts(values, tol)
-        assert all(type(c) is int for c in counts)
-    assert geometry._sign_counts([0.0, -0.0, 0.0], tol) == (0, 3, 0)
+    """The array rule equals the per-row reference on values on, just inside
+    and just outside the zero band of the largest |value|, at sizes from
+    1e-12 to 1e12, as 1-D input, as the rows of (N, d) input, and on all-zero
+    rows."""
+    for d in range(1, 7):
+        rows = []
+        for _ in range(50):
+            largest = 10.0 ** rng.uniform(-12.0, 12.0)
+            bound = tol * largest
+            edges = [bound, -bound, 0.0, -0.0, np.nextafter(bound, np.inf),
+                     np.nextafter(bound, 0.0), np.nextafter(-bound, -np.inf),
+                     np.nextafter(-bound, 0.0)]
+            pool = np.concatenate((edges, rng.normal(scale=10.0 * bound, size=4)))
+            values = rng.choice(pool, size=d)
+            if rng.random() < 0.9:
+                values[rng.integers(d)] = rng.choice([largest, -largest])
+            rows.append(values)
+        rows.append(np.zeros(d))
+        rows.append(np.array([0.0, -0.0] * d)[:d])
+        block = np.array(rows)
+        expected = [list_sign_counts(row.tolist(), tol) for row in block]
+        assert [tuple(map(int, geometry._sign_counts(row, tol))) for row in block] == expected
+        counts = geometry._sign_counts(block, tol)
+        assert all(c.shape == (len(rows),) for c in counts)
+        assert list(zip(*(c.tolist() for c in counts))) == expected
+    assert geometry._sign_counts(np.array([0.0, -0.0, 0.0]), tol) == (0, 3, 0)
 
 
 def test_metric_compatibility(rng):
@@ -319,6 +328,20 @@ def test_classify_examples():
     assert classify_vector(m, TangentVector((1, 0, 0, 0), p)) is VectorClass.TIMELIKE
     assert classify_vector(m, TangentVector((1, 1, 0, 0), p)) is VectorClass.NULL
     assert classify_vector(m, TangentVector((0, 1, 0, 0), p)) is VectorClass.SPACELIKE
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-4, 1.0, 1e6])
+@pytest.mark.parametrize("components, expected", [
+    ((1.0, 0.5, 0.0, 0.0), VectorClass.TIMELIKE),
+    ((1.0, 1.0, 0.0, 0.0), VectorClass.NULL),
+    ((0.5, 1.0, 0.0, 0.0), VectorClass.SPACELIKE),
+], ids=["timelike", "null", "spacelike"])
+def test_classify_does_not_depend_on_the_scale_of_v(scale, components, expected):
+    """The null test is relative to |V| |gV|: (1e-6, 5e-7, 0, 0) is timelike,
+    as (1, 0.5, 0, 0) is, though |g(V, V)| = 7.5e-13."""
+    p = Point((0.0, 0.0, 0.0, 0.0))
+    v = TangentVector(tuple(scale * c for c in components), p)
+    assert classify_vector(eval_metric(MINK, p), v) is expected
 
 
 def test_classify_requires_matching_base():
