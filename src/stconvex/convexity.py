@@ -115,14 +115,16 @@ class CInterval:
     def intersect(self, other: "CInterval | None") -> "CInterval | None":
         """The common part, or None when empty. Ends computed at different
         points differ by rounding, so ends that cross by at most
-        ENDPOINT_RESOLUTION * max(|lo|, |hi|) touch, lo then exceeding hi."""
+        ENDPOINT_RESOLUTION * max(|lo|, |hi|) touch, lo then exceeding hi.
+        The ceiling_hit kept is that of the interval whose hi is kept."""
         if other is None:
             return None
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
         if lo - hi > ENDPOINT_RESOLUTION * max(abs(lo), abs(hi)):
             return None
-        return CInterval(lo, hi, self.ceiling_hit or other.ceiling_hit)
+        return CInterval(lo, hi, (self.ceiling_hit and self.hi <= other.hi)
+                         or (other.ceiling_hit and other.hi <= self.hi))
 
 
 def admissible_c_interval(h: np.ndarray, g: np.ndarray, tol: float = PSD_TOLERANCE,

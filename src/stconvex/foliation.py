@@ -29,7 +29,7 @@ from .geometry import (SIGNATURE_TOL, MetricAt, Point, SpacetimeModel, TangentVe
                        covariant_hessian, covariant_hessian_from, eval_metric,
                        evaluator_for, field_jet)
 
-#: tangent seeds whose g-rejection norm falls below this are unusable
+#: tangent seeds whose |g-rejection norm| is below this times max |g_mu nu| are unusable
 BASIS_TOL = 1e-12
 
 
@@ -68,13 +68,14 @@ def _tangent_basis(g, n):
     d = g.shape[0]
     gn = g @ n
     rows = np.eye(d) - np.multiply.outer(gn / float(n @ gn), n)
+    floor = BASIS_TOL * float(np.abs(g).max())
     remaining = list(range(d))
     basis = np.empty((d - 1, d))
     for step in range(d - 1):
         rows_g = rows @ g
         w2 = np.einsum("ij,ij->i", rows_g, rows).tolist()
         k = max(remaining, key=lambda i: abs(w2[i]))
-        if abs(w2[k]) < BASIS_TOL:
+        if abs(w2[k]) < floor:
             raise WrongSignature("could not build a non-null tangent basis from "
                                  "coordinate seeds at this point")
         remaining.remove(k)
@@ -150,10 +151,12 @@ def barrier_scan(m: float, r_lo: float, r_hi: float, n: int) -> BarrierScanResul
 
 def null_expansions(model: SpacetimeModel, base_point) -> tuple[float, float]:
     """(theta_plus, theta_minus) of the symmetry fiber through a 2D base
-    point of a declared warped-product chart: theta = (2/R) l^a d_a R for the
-    two future null directions l of the base block, each normalized against
-    the declared future unit timelike vector by g(l, that) = -1. theta_plus
-    is the direction of increasing area radius when one exists."""
+    point of a declared warped-product chart, in closed form from the declared
+    future vector F: with t = F / sqrt(-gamma(F, F)) and s = (-(gamma t)_b,
+    (gamma t)_a) / sqrt(-det gamma), the null pair l = t +- s has gamma(l, t) =
+    -1, and theta = (2/R) l^a d_a R = (2/R)(t.dR +- |s.dR|). So theta_plus >=
+    theta_minus, and theta_plus is the direction of increasing area radius
+    when one exists."""
     bf = model.block_form
     if bf is None:
         raise NotBlockForm(f"model '{model.name}' declares no warped-product split")
@@ -177,32 +180,23 @@ def null_expansions(model: SpacetimeModel, base_point) -> tuple[float, float]:
         raise ValueError("base_point must supply exactly the two base coordinates")
     params = model.parameters
     g_aa, g_ab, g_bb = ex.compile_value(block, base_names, params)(*values)
-    gamma = np.array([[g_aa, g_ab], [g_ab, g_bb]])
-    eigenvalues, vectors = np.linalg.eigh(gamma)
-    negative, zero, _ = _sign_counts(eigenvalues)
+    negative, zero, _ = _sign_counts(np.linalg.eigvalsh([[g_aa, g_ab], [g_ab, g_bb]]))
     if (negative, zero) != (1, 0):
         raise WrongSignature(f"base block is not Lorentzian at {values}")
-    u_hat = vectors[:, 0] / math.sqrt(-eigenvalues[0])
-    s_hat = vectors[:, 1] / math.sqrt(eigenvalues[1])
-    future = np.array(bf.future, dtype=float)
-    if float(future @ gamma @ future) >= 0.0:
+    f_a, f_b = bf.future
+    low_a, low_b = g_aa * f_a + g_ab * f_b, g_ab * f_a + g_bb * f_b  # gamma F
+    future_norm2 = f_a * low_a + f_b * low_b
+    if future_norm2 >= 0.0:
         raise NotBlockForm("declared future direction is not timelike at this point")
-    if float(u_hat @ gamma @ future) > 0.0:
-        u_hat = -u_hat
     radius_jet = ex.eval_jet1(bf.area_radius, base_names, values, params)
     radius = radius_jet.value
     if radius <= 0.0:
         raise OutOfDomain(f"area radius {radius!r} must be positive")
-    d_radius = np.array(radius_jet.gradient)
-    if float(s_hat @ d_radius) < 0.0:
-        s_hat = -s_hat
-    t_hat = future / math.sqrt(-float(future @ gamma @ future))
-    out = []
-    for sign in (+1.0, -1.0):
-        ell = u_hat + sign * s_hat
-        ell = ell / (-float(ell @ gamma @ t_hat))
-        out.append(2.0 / radius * float(ell @ d_radius))
-    return out[0], out[1]
+    dr_a, dr_b = radius_jet.gradient
+    inv_norm = 1.0 / math.sqrt(-future_norm2)
+    along_t = (f_a * dr_a + f_b * dr_b) * inv_norm
+    across = abs(low_a * dr_b - low_b * dr_a) * inv_norm / math.sqrt(g_ab * g_ab - g_aa * g_bb)
+    return 2.0 / radius * (along_t + across), 2.0 / radius * (along_t - across)
 
 
 @dataclass(frozen=True)
@@ -226,14 +220,14 @@ def _slice_data(model: SpacetimeModel, spec: SliceSpec, p: Point):
                          f"{spec.coordinate} = {spec.value!r}")
     pinned = Point(p.coordinates[:k] + (spec.value,) + p.coordinates[k + 1:])
     keep = np.array([i for i in range(model.dimension) if i != k])
-    g, dg = evaluator_for(model).components(pinned.coordinates)
-    h = g[keep[:, None], keep]
+    metric = evaluator_for(model).metric_at(pinned, checks=False)
+    h = metric.g[keep[:, None], keep]
     eigenvalues = np.linalg.eigvalsh(h)
     if eigenvalues[0] <= SIGNATURE_TOL * eigenvalues[-1]:
         raise NonSpacelikeSlice(
             f"induced metric on {spec.coordinate} = {spec.value!r} is not positive "
             f"definite at {p.coordinates} (smallest eigenvalue {eigenvalues[0]:.3e})")
-    return pinned, keep, h, dg[keep[:, None, None], keep[:, None], keep]
+    return pinned, keep, h, metric.first_derivatives[keep[:, None, None], keep[:, None], keep]
 
 
 def induced_metric(model: SpacetimeModel, spec: SliceSpec, p: Point) -> np.ndarray:

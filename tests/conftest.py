@@ -5,14 +5,17 @@ jet differentiation used by the library; they must never call into the jet
 machinery except for plain value evaluation.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from stconvex import expressions as ex
 from stconvex.convexity import (CInterval, ConvexityCertificate, PerPointStats,
                                 admissible_c_interval, grid_points, hessian_signature)
-from stconvex.errors import ToolkitError
+from stconvex.errors import NotBlockForm, OutOfDomain, ToolkitError, WrongSignature
 from stconvex.expressions import eval_value
-from stconvex.geometry import christoffels_from, covariant_hessian, evaluator_for
+from stconvex.geometry import _sign_counts, christoffels_from, covariant_hessian, evaluator_for
 
 
 def fd_derivative(fn, x, axis, h=1e-3):
@@ -149,6 +152,48 @@ def certify_region_per_point(model, f, query):
         psd_tolerance=query.psd_tolerance, ceiling=query.c_search_ceiling,
         signature_labels=tuple(sorted(labels)),
     )
+
+
+def null_expansions_by_eigenvectors(model, base_point):
+    """The eigenvector construction that `null_expansions` replaced, on a
+    model whose block form has passed the library's checks: the unit
+    eigenvectors u (timelike, oriented to the future) and s (spacelike,
+    oriented so that s.dR >= 0) of the base block, and theta = (2/R) l.dR for
+    l = u +- s, each renormalized by g(l, t) = -1 against the future unit
+    vector t."""
+    bf = model.block_form
+    ia, ib = bf.base_indices
+    base_names = (model.coordinate_names[ia], model.coordinate_names[ib])
+    block = (model.components[ia][ia], model.components[ia][ib], model.components[ib][ib])
+    values = tuple(float(v) for v in base_point)
+    params = model.parameters
+    g_aa, g_ab, g_bb = ex.compile_value(block, base_names, params)(*values)
+    gamma = np.array([[g_aa, g_ab], [g_ab, g_bb]])
+    eigenvalues, vectors = np.linalg.eigh(gamma)
+    negative, zero, _ = _sign_counts(eigenvalues)
+    if (negative, zero) != (1, 0):
+        raise WrongSignature(f"base block is not Lorentzian at {values}")
+    u_hat = vectors[:, 0] / math.sqrt(-eigenvalues[0])
+    s_hat = vectors[:, 1] / math.sqrt(eigenvalues[1])
+    future = np.array(bf.future, dtype=float)
+    if float(future @ gamma @ future) >= 0.0:
+        raise NotBlockForm("declared future direction is not timelike at this point")
+    if float(u_hat @ gamma @ future) > 0.0:
+        u_hat = -u_hat
+    radius_jet = ex.eval_jet1(bf.area_radius, base_names, values, params)
+    radius = radius_jet.value
+    if radius <= 0.0:
+        raise OutOfDomain(f"area radius {radius!r} must be positive")
+    d_radius = np.array(radius_jet.gradient)
+    if float(s_hat @ d_radius) < 0.0:
+        s_hat = -s_hat
+    t_hat = future / math.sqrt(-float(future @ gamma @ future))
+    out = []
+    for sign in (+1.0, -1.0):
+        ell = u_hat + sign * s_hat
+        ell = ell / (-float(ell @ gamma @ t_hat))
+        out.append(2.0 / radius * float(ell @ d_radius))
+    return out[0], out[1]
 
 
 @pytest.fixture

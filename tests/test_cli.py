@@ -50,6 +50,21 @@ def test_certify_success(tmp_path, capsys):
     assert float(report["c_interval.hi"]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_certify_reports_ceiling_hit_of_the_certificate(tmp_path, capsys):
+    """Some grid points admit c up to the ceiling 8, but the certificate's hi
+    is 1, so it reports that the ceiling was not hit."""
+    s = "(0.5*{0}^2 + 19*({0}+1)^3/6)"
+    expression = "-0.25*t^2 + " + " + ".join(s.format(u) for u in "xyz")
+    cfg = write(tmp_path, "c.cfg", CERTIFY_TEMPLATE.replace(
+        "builtin = canonical\nalpha = {alpha}", f'expression = "{expression}"')
+        + "c_ceiling = 8\n")
+    code, out, _ = run(capsys, "certify", "--config", cfg, "--no-timestamp", "--structured")
+    assert code == 0
+    report = dict(line.split(" = ", 1) for line in out.splitlines() if " = " in line)
+    assert float(report["c_interval.hi"]) == pytest.approx(1.0, abs=1e-9)
+    assert report["c_interval.ceiling_hit"] == "false"
+
+
 def test_certify_violated_exit_2(tmp_path, capsys):
     cfg = write(tmp_path, "c.cfg", CERTIFY_TEMPLATE.format(alpha=1.2))
     code, out, _ = run(capsys, "certify", "--config", cfg, "--no-timestamp")

@@ -132,7 +132,35 @@ def test_intersect_ends_touch_within_resolution():
     touching = a.intersect(CInterval(1.0 + 5e-10, 2.0))
     assert (touching.lo, touching.hi) == (1.0 + 5e-10, 1.0)
     assert a.intersect(CInterval(1.0 + 2e-9, 2.0)) is None
-    assert a.intersect(CInterval(0.75, 2.0, ceiling_hit=True)) == CInterval(0.75, 1.0, True)
+    assert a.intersect(CInterval(0.75, 2.0, ceiling_hit=True)) == CInterval(0.75, 1.0, False)
+
+
+@pytest.mark.parametrize("a, b, hit", [
+    (CInterval(0.5, 8.0, True), CInterval(0.75, 1.0), False),
+    (CInterval(0.5, 1.0), CInterval(0.75, 8.0, True), False),
+    (CInterval(0.5, 8.0, True), CInterval(0.0, 8.0), True),
+    (CInterval(0.0, 8.0), CInterval(0.5, 8.0, True), True),
+    (CInterval(0.5, 8.0, True), CInterval(0.75, 8.0, True), True),
+], ids=["self-hit-other-lower", "other-hit-self-lower", "self-hit-equal", "other-hit-equal",
+        "both-hit"])
+def test_intersect_keeps_the_ceiling_hit_of_the_kept_hi(a, b, hit):
+    assert a.intersect(b).ceiling_hit is hit
+    assert b.intersect(a).ceiling_hit is hit
+
+
+def test_certificate_reports_the_ceiling_only_when_its_hi_is_the_ceiling():
+    """H = diag(-0.5, s''(x), s''(y), s''(z)) with s''(u) = 1 + 19 (u + 1):
+    grid points whose spatial coordinates are all 0 or 1 admit c up to the
+    ceiling 8, those with one at -1 only up to 1. The certificate's hi is 1,
+    so it did not hit the ceiling."""
+    s = "(0.5*{0}^2 + 19*({0}+1)^3/6)"
+    field = MINK.field("-0.25*t^2 + " + " + ".join(s.format(u) for u in "xyz"))
+    query = ConvexityQuery(region=BOX, samples_per_axis=3, c_search_ceiling=8.0)
+    cert = certify_region(MINK, field, query)
+    assert cert.verdict == "certified"
+    assert cert.c_interval == CInterval(0.5, 1.0, False)
+    assert cert.per_point_stats.c_hi_max == 8.0
+    assert cert == certify_region_per_point(MINK, field, query)
 
 
 def test_interval_convexity_property(rng):

@@ -15,7 +15,7 @@ from stconvex import (NonSpacelikeSlice, NotBlockForm, NullGradient,
 
 from stconvex.foliation import BASIS_TOL, _tangent_basis
 
-from conftest import random_lorentzian, random_point_in
+from conftest import null_expansions_by_eigenvectors, random_lorentzian, random_point_in
 
 CAT = builtin_models()
 MINK = CAT.model("minkowski-cartesian")
@@ -249,6 +249,31 @@ def test_null_gradient_test_is_scale_free(scale):
         3.0 / 1.3, rel=1e-12)
 
 
+def _scaled_milne(scale):
+    return SpacetimeModel.from_components(
+        name="scaled-milne", coordinate_names=("tau", "chi", "theta", "phi"),
+        components={(0, 0): f"-{scale}", (1, 1): f"{scale}*tau^2",
+                    (2, 2): f"{scale}*tau^2*sinh(chi)^2",
+                    (3, 3): f"{scale}*tau^2*sinh(chi)^2*sin(theta)^2"},
+        singular_loci=("tau", "sinh(chi)", "sin(theta)"))
+
+
+@pytest.mark.parametrize("scale", ["1e-13", "1e-9", "1", "1e6"])
+def test_trace_of_form_is_scale_free(scale):
+    """g -> s g: the tangent-basis test is relative to max |g_mu nu|, so the
+    form exists and traces to Tr K for every s (an absolute bound of 1e-12
+    refused s = 1e-13 while mean_curvature gave 7.3e6)."""
+    model = _scaled_milne(scale)
+    f = model.field("tau")
+    p = Point((1.3, 0.8, 1.1, 0.7))
+    frame = level_set_frame(f, model, p)
+    k = second_fundamental_form(f, model, p)
+    basis = np.array([b.components for b in frame.tangent_basis])
+    induced = basis @ eval_metric(model, p).g @ basis.T
+    trace = float(np.einsum("ij,ij->", np.linalg.inv(induced), k))
+    assert trace == pytest.approx(mean_curvature(f, model, p), rel=1e-12)
+
+
 # --------------------------------------------------------------------------
 # closed form and barrier scan
 # --------------------------------------------------------------------------
@@ -406,6 +431,60 @@ def test_null_expansions_rejects_cross_terms():
         null_expansions(crossed, (0.0, 0.0))
 
 
+@pytest.mark.parametrize("name", ["minkowski-spherical", "schwarzschild-exterior",
+                                  "schwarzschild-interior", "milne"])
+def test_null_expansions_match_the_eigenvector_construction(name, rng):
+    """On every catalog chart with a warped-product split: the values and
+    labels of the eigenvector construction that the closed form replaced."""
+    model = CAT.model(name)
+    box = [model.sample_box[i] for i in model.block_form.base_indices]
+    for _ in range(100):
+        base = random_point_in(box, rng)
+        assert null_expansions(model, base) == pytest.approx(
+            null_expansions_by_eigenvectors(model, base), rel=1e-13)
+
+
+def _ingoing_eddington_finkelstein():
+    """Schwarzschild (M = 1) in ingoing Eddington-Finkelstein coordinates:
+    regular across r = 2M, where both null directions turn inward."""
+    return SpacetimeModel.from_components(
+        name="ingoing-ef", coordinate_names=("v", "r", "theta", "phi"),
+        components={(0, 0): "-(1 - 2*M/r)", (0, 1): "1", (2, 2): "r^2",
+                    (3, 3): "r^2*sin(theta)^2"},
+        parameters={"M": 1.0}, singular_loci=("r", "sin(theta)"),
+        block_form=((0, 1), "r", (1.0, -1.0)))
+
+
+def _constant_tilted_block():
+    radius = "(2 + x - 0.3*t^2)"
+    return SpacetimeModel.from_components(
+        name="tilted", coordinate_names=("t", "x", "theta", "phi"),
+        components={(0, 0): "-1.2", (0, 1): "0.5", (1, 1): "0.8", (2, 2): f"{radius}^2",
+                    (3, 3): f"{radius}^2*sin(theta)^2"},
+        singular_loci=("sin(theta)",), block_form=((0, 1), radius, (1.0, 0.0)))
+
+
+@pytest.mark.parametrize("model, box", [
+    (_ingoing_eddington_finkelstein(), ((-1.0, 1.0), (0.7, 9.0))),
+    (_constant_tilted_block(), ((-1.0, 1.0), (-1.0, 1.0))),
+], ids=["ingoing-eddington-finkelstein", "constant-tilted-block"])
+def test_null_expansions_on_off_diagonal_blocks(model, box, rng):
+    """The eigenvector construction's pair of values, with theta_plus >=
+    theta_minus. Its labels agree wherever exactly one null direction
+    increases R; where both move R the same way (r < 2M on the EF chart) the
+    eigenvector construction labelled them by the coordinate block's
+    eigenvectors."""
+    for _ in range(500):
+        base = random_point_in(box, rng)
+        theta = null_expansions(model, base)
+        expected = null_expansions_by_eigenvectors(model, base)
+        tol = 1e-13 * max(map(abs, expected))
+        assert theta[0] >= theta[1]
+        assert sorted(theta) == pytest.approx(sorted(expected), abs=tol)
+        if (expected[0] > 0.0) != (expected[1] > 0.0):
+            assert theta == pytest.approx(expected, abs=tol)
+
+
 # --------------------------------------------------------------------------
 # coordinate slices
 # --------------------------------------------------------------------------
@@ -440,6 +519,21 @@ def test_non_spacelike_slice():
     with pytest.raises(NonSpacelikeSlice):
         slice_restricted_hessian(MINK.field("t^2"), MINK, SliceSpec("x", 0.0),
                                  Point((1.0, 0.0, 0.0, 0.0)))
+
+
+@pytest.mark.parametrize("probe", [
+    lambda spec, p: slice_laplacian(SCHW.field("r^2"), SCHW, spec, p),
+    lambda spec, p: slice_restricted_hessian(SCHW.field("r^2"), SCHW, spec, p),
+    lambda spec, p: induced_metric(SCHW, spec, p),
+], ids=["slice_laplacian", "slice_restricted_hessian", "induced_metric"])
+def test_slice_probes_honor_the_locus_guard(probe):
+    """1e-7 outside r = 2M, inside the 1e-6 guard: a slice probe refuses the
+    point as eval_metric does, naming the locus."""
+    p = Point((0.0, 2.0 + 1e-7, 1.2, 0.3))
+    with pytest.raises(SingularMetric, match=r"r - 2\.0\*M"):
+        eval_metric(SCHW, p)
+    with pytest.raises(SingularMetric, match=r"r - 2\.0\*M"):
+        probe(SliceSpec("t", 0.0), p)
 
 
 def test_slice_point_must_lie_on_slice():
