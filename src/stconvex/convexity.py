@@ -21,19 +21,21 @@ inequality) are checked separately and neither is assumed to imply the other.
 
 Grid points are independent and the interval-intersection reduction is
 associative and commutative, so the scan may be partitioned arbitrarily
-without changing the certificate. This implementation evaluates the metric
-and the Hessian point by point in row-major grid order, so an evaluation
-error names the first failing point, and runs the signature and interval
-oracle once per chunk of GRID_CHUNK points, as array code over the stacked
-matrices; the reduction then visits the chunk's points in grid order, which
-fixes the witness deterministically. A stacked oracle call computes every
-row as a single-matrix call would, so the certificate does not depend on
-the chunk.
+without changing the certificate. This implementation takes the grid in
+row-major chunks of GRID_CHUNK points. For each chunk it makes one stacked
+`metric_at` call and one stacked `covariant_hessian` call (the emitted
+expression code run on coordinate arrays), and runs the signature and
+interval oracle once, as array code over the stacked matrices; the
+reduction then visits the chunk's points in grid order, which fixes the
+witness deterministically. Every stacked call computes each row as a
+single-point call would, to the bit, so the certificate does not depend on
+the chunk. When a stacked evaluation raises, the chunk is evaluated again
+point by point, so the error is the one the first failing point raises,
+named with its grid point.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -49,8 +51,8 @@ from .geometry import (Point, SpacetimeModel, _sign_counts, covariant_hessian,
 ENDPOINT_RESOLUTION = 1e-9
 #: defaults of the (relative) PSD tolerance and of the c search ceiling
 PSD_TOLERANCE, C_SEARCH_CEILING = 1e-10, 1e3
-#: grid points per stacked oracle call in certify_region: numpy's per-call
-#: overhead is shared by the chunk, and memory stays O(chunk), not O(grid)
+#: grid points per stacked evaluation and oracle call in certify_region: the
+#: per-call overhead is shared by the chunk, and memory stays O(chunk)
 GRID_CHUNK = 128
 
 
@@ -240,13 +242,35 @@ class ConvexityCertificate:
 
 
 def grid_points(query: ConvexityQuery) -> list[Point]:
-    return [Point(coords) for coords in _grid_coordinates(query)]
+    return [Point(row) for chunk in _grid_chunks(query) for row in chunk]
 
 
-def _grid_coordinates(query: ConvexityQuery):
-    """The grid's coordinate tuples, lazily, in row-major order."""
+def _grid_chunks(query: ConvexityQuery):
+    """The grid's coordinates in row-major order, lazily, as (n, d) arrays of
+    at most GRID_CHUNK rows."""
     axes = [np.linspace(lo, hi, query.samples_per_axis) for lo, hi in query.region]
-    return itertools.product(*axes)
+    shape = tuple(len(axis) for axis in axes)
+    total = math.prod(shape)
+    for start in range(0, total, GRID_CHUNK):
+        index = np.unravel_index(np.arange(start, min(start + GRID_CHUNK, total)), shape)
+        yield np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
+
+
+def _point_by_point(evaluator, model, f, coords):
+    """The (n, d, d) stacks of H and g at the rows of coords, one point at a
+    time in row order, so that an error is the first failing point's own,
+    named with its grid point."""
+    hs, gs = [], []
+    for row in coords:
+        point = Point(row)
+        try:
+            metric_at = evaluator.metric_at(point)
+            hs.append(covariant_hessian(f, model, point, metric_at=metric_at))
+        except ToolkitError as exc:
+            exc.args = (f"{exc} [at grid point {point.coordinates}]",)  # attributes kept
+            raise
+        gs.append(metric_at.g)
+    return np.array(hs), np.array(gs)
 
 
 def certify_region(model: SpacetimeModel, f: ScalarField,
@@ -259,29 +283,23 @@ def certify_region(model: SpacetimeModel, f: ScalarField,
     labels = set()
     lo_min = hi_min = math.inf
     lo_max = hi_max = -math.inf
-    coordinates = _grid_coordinates(query)
-    while chunk := [Point(c) for c in itertools.islice(coordinates, GRID_CHUNK)]:
-        hs, gs = [], []
-        for point in chunk:
-            try:
-                metric_at = evaluator.metric_at(point)
-                hs.append(covariant_hessian(f, model, point, metric_at=metric_at))
-            except ToolkitError as exc:
-                exc.args = (f"{exc} [at grid point {point.coordinates}]",)  # attributes kept
-                raise
-            gs.append(metric_at.g)
-        hs, gs = np.array(hs), np.array(gs)
+    for coords in _grid_chunks(query):
+        try:
+            metric_at = evaluator.metric_at(coords)
+            hs, gs = covariant_hessian(f, model, coords, metric_at=metric_at), metric_at.g
+        except ToolkitError:
+            hs, gs = _point_by_point(evaluator, model, f, coords)
         descriptors = hessian_signature(hs, query.psd_tolerance)
         intervals = admissible_c_interval(hs, gs, query.psd_tolerance, query.c_search_ceiling)
         labels.update(descriptor.label for descriptor in descriptors)
-        for point, interval in zip(chunk, intervals):
+        for row, interval in enumerate(intervals):
             if interval is not None:
                 lo_min, lo_max = min(lo_min, interval.lo), max(lo_max, interval.lo)
                 hi_min, hi_max = min(hi_min, interval.hi), max(hi_max, interval.hi)
             if running is not None:
                 running = interval if interval is None else running.intersect(interval)
                 if running is None:
-                    witness = point
+                    witness = Point(coords[row])
     if lo_min > lo_max:  # no point had an interval
         lo_min = lo_max = hi_min = hi_max = math.nan
     stats = PerPointStats(samples=query.samples_per_axis ** model.dimension, c_lo_min=lo_min,

@@ -31,12 +31,22 @@ its hash and its symbol set once, on first use, so a key costs O(1).
 The emitted code alone keeps one contract for every entry point: all outputs
 are finite, or the call raises a DomainError naming the expression (in a
 fused set, the member that failed) and the point.
+
+The same text, less its finiteness line, also runs in a second namespace on
+(N,) coordinate arrays (`eval_block`, and `eval_jet2` on an (N, d) array).
+There each math function, log, sqrt and power is applied element by element
+with Python's math and **, so every entry has the scalar code's bits, and a
+helper gives NaN where its scalar form raises; + - * / are elementwise IEEE
+operations. A non-finite column is settled by running the scalar code at
+that point, which raises its own error. The array variant is cached under
+its own key and compiled on first use.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import types
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -403,6 +413,84 @@ def _nonzero(v):
     return v
 
 
+def _elementwise(fn):
+    """fn over a float, or over an array one element at a time, so that each
+    element gets the bits of the scalar code (numpy's own transcendental
+    functions differ from math's in the last bit on some CPUs); NaN where fn
+    raises."""
+    def one(v):
+        try:
+            return fn(v)
+        except (DomainError, ArithmeticError, ValueError):
+            return math.nan
+
+    def apply(v):
+        if not isinstance(v, np.ndarray):
+            return one(v)
+        values = v.tolist()
+        try:
+            return np.fromiter(map(fn, values), float, len(values))
+        except (DomainError, ArithmeticError, ValueError):
+            return np.fromiter(map(one, values), float, len(values))
+    return apply
+
+
+def _pow_or_nan(base, k):
+    """_pow_vd(base, k) for a float base, NaN where it raises or base is NaN."""
+    if not math.isnan(base):
+        try:
+            return _pow_vd(base, k)
+        except (DomainError, ArithmeticError, ValueError):
+            pass
+    return math.nan, math.nan, math.nan
+
+
+def _stacked_pow_vd(base, k):
+    """_pow_vd over an array of bases, each power taken by Python's ** as the
+    scalar code takes it (numpy's power takes b**2 as b*b, which differs in
+    the last bit), except b**0 = 1 and b**1 = b, which ** gives exactly. NaN
+    where _pow_vd raises and wherever the base or k is NaN, so that no NaN
+    turns finite (the scalar code raised before it got here)."""
+    if math.isnan(k):
+        return math.nan, math.nan, math.nan
+    if not isinstance(base, np.ndarray):
+        return _pow_or_nan(base, k)
+    if k == 0.0:
+        one = np.where(np.isnan(base), math.nan, 1.0)
+        return one, one - 1.0, one - 1.0
+    values = base.tolist()
+
+    def power(e):
+        if e == 0:
+            return 1.0
+        return base if e == 1 else np.array([b ** e for b in values], dtype=float)
+    integer = float(k).is_integer()
+    # a zero base, or a non-positive one under a non-integer power, takes the
+    # scalar code's branches, element by element below
+    if not ((base == 0.0).any() if integer else (base <= 0.0).any()):
+        try:
+            if integer:
+                k = int(k)
+                return power(k), float(k) * power(k - 1), float(k * (k - 1)) * power(k - 2)
+            return power(k), k * power(k - 1.0), k * (k - 1.0) * power(k - 2.0)
+        except ArithmeticError:  # a power overflowed
+            pass
+    return tuple(np.array(column, dtype=float)
+                 for column in zip(*(_pow_or_nan(b, k) for b in values)))
+
+
+def _stacked_sign_nonzero(v):
+    # v is an array: the slope of abs is emitted only for an argument that
+    # depends on a coordinate
+    return np.where(v == 0.0, math.nan, np.copysign(1.0, v))
+
+
+def _stacked_nonzero(v):
+    if isinstance(v, np.ndarray):
+        return np.where(v == 0.0, math.nan, v)
+    return math.nan if v == 0.0 else v  # a constant divisor
+
+
 def _wrap_domain(exc, ast, values):
     return DomainError(f"{exc} while evaluating '{to_source(ast)}' at {tuple(values)}")
 
@@ -423,6 +511,20 @@ _COMPILE_GLOBALS = {
     "ValueError": ValueError,
     "_wrap_domain": _wrap_domain,
 }
+
+#: the same code run on (N,) coordinate arrays: every helper gives NaN where
+#: its scalar form raises, and + - * / are elementwise IEEE operations, so
+#: each element is computed as the scalar code computes it
+_STACKED_GLOBALS = dict(
+    _COMPILE_GLOBALS,
+    math=types.SimpleNamespace(**{name: _elementwise(getattr(math, name)) for name in
+                                  ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp")}),
+    _pow_vd=_stacked_pow_vd,
+    _sign_nonzero=_stacked_sign_nonzero,
+    _nonzero=_stacked_nonzero,
+    _checked_log=_elementwise(_checked_log),
+    _checked_sqrt=_elementwise(_checked_sqrt),
+)
 
 # value, f' and f'' (None: exactly zero) per function, over the argument {a},
 # the value temp {v} and the f' temp {d}
@@ -592,24 +694,27 @@ class _CodeGen:
             return a
         return self.temp(f"{a} {op} {b}")
 
-    def outputs(self, node):
-        """Emit node and one check that its value, gradient and Hessian are
-        finite; return them, as far as this order goes, as lists of code."""
+    def outputs(self, node, checked=True):
+        """Emit node and, when checked, one check that its value, gradient and
+        Hessian are finite; return them, as far as this order goes, as lists
+        of code."""
         val, ds, hs = self.emit(node)
-        checked = dict.fromkeys([val] + [d for d in ds if d is not None] + list(hs.values()))
-        # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
-        self.lines.append("        if " + " + ".join(f"({c} - {c})" for c in checked)
-                          + ' != 0.0: raise DomainError("non-finite result")')
+        if checked:
+            finite = dict.fromkeys([val] + [d for d in ds if d is not None] + list(hs.values()))
+            # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
+            self.lines.append("        if " + " + ".join(f"({c} - {c})" for c in finite)
+                              + ' != 0.0: raise DomainError("non-finite result")')
         gradient = ["0.0" if d is None else d for d in ds]
         hessian = [hs.get((min(i, j), max(i, j)), "0.0")
                    for i in range(len(ds)) for j in range(len(ds))] if self.order == 2 else []
         return ([val], gradient, hessian)[:self.order + 1]
 
-    def define(self, ast, result, filename, culprit="_ast"):
+    def define(self, ast, result, filename, culprit="_ast", namespace=_COMPILE_GLOBALS):
         """Compile the emitted lines into _fn(x0, ...) -> result; one try block
         turns a DomainError, an overflow, a math domain error or a division by
         an underflowed square anywhere in them into a DomainError naming the
-        expression (the code `culprit`, evaluated over `_ast`) and the point."""
+        expression (the code `culprit`, evaluated over `_ast`) and the point.
+        The helpers come from namespace."""
         args = ", ".join(f"x{i}" for i in range(len(self.coords)))
         point = f"({args}{',' if self.coords else ''})"
         body = "".join(line + "\n" for line in self.lines) or "        pass\n"
@@ -617,7 +722,7 @@ class _CodeGen:
                "    except (DomainError, ArithmeticError, ValueError) as exc:\n"
                f"        raise _wrap_domain(exc, {culprit}, {point}) from None\n"
                f"    return {result}\n")
-        ns = dict(_COMPILE_GLOBALS, _ast=ast)
+        ns = dict(namespace, _ast=ast)
         exec(compile(src, filename, "exec"), ns)  # noqa: S102 - our own codegen
         return ns["_fn"]
 
@@ -626,38 +731,46 @@ def _tuple_source(items):
     return "(" + "".join(item + ", " for item in items) + ")"
 
 
-def _compile(ast, coordinate_names, parameters, order):
+def _compile(ast, coordinate_names, parameters, order, stacked=False):
     """fn(*coords) -> value (order 0), (value, gradient) (order 1) or
     (value, gradient, row-major Hessian) (order 2), as plain float tuples. A
     fused set returns one flat tuple: each expression's value, then its
-    gradient (order >= 1), then its row-major Hessian (order 2), in order."""
+    gradient (order >= 1), then its row-major Hessian (order 2), in order.
+
+    The stacked variant, of a fused set, is the same code without the
+    finiteness lines, run in the array namespace on (N,) coordinate arrays;
+    each item of its flat tuple is an (N,) array or a float."""
     gen = _CodeGen(coordinate_names, parameters, order)
     if isinstance(ast, tuple):
         flat = []
         for k, node in enumerate(ast):
             gen.lines.append(f"        _k = {k}")  # names the failing expression
-            flat += [item for part in gen.outputs(node) for item in part]
-        return gen.define(ast, _tuple_source(flat), "<stconvex-fused>", culprit="_ast[_k]")
+            flat += [item for part in gen.outputs(node, not stacked) for item in part]
+        return gen.define(ast, _tuple_source(flat), "<stconvex-fused>", "_ast[_k]",
+                          _STACKED_GLOBALS if stacked else _COMPILE_GLOBALS)
     (val,), *derivatives = gen.outputs(ast)
     result = ", ".join([val] + [_tuple_source(part) for part in derivatives])
     return gen.define(ast, result, f"<stconvex-order{order}>")
 
 
 @functools.lru_cache(maxsize=256)
-def _cached_code(order, ast, names, bound):
-    return _compile(ast, names, dict(bound), order)
+def _cached_code(order, ast, names, bound, stacked=False):
+    return _compile(ast, names, dict(bound), order, stacked)
 
 
-def _code(order, ast, coordinate_names, parameters):
+def _code(order, ast, coordinate_names, parameters, stacked=False):
     """Compiled code of the expression or fused set from one bounded LRU
     cache, keyed by the order, the AST, the coordinate names and the values
     of the parameters the AST references, so equal expressions share code
-    however often they are re-parsed and whichever entry point asks."""
+    however often they are re-parsed and whichever entry point asks. The
+    stacked variant has its own key, and is compiled on its first use."""
     bound = ()
     if parameters:
         refs = frozenset().union(*map(symbols_in, ast)) if isinstance(ast, tuple) \
             else symbols_in(ast)
         bound = tuple((k, float(v)) for k, v in parameters.items() if k in refs)
+    if stacked:
+        return _cached_code(order, ast, tuple(coordinate_names), bound, True)
     return _cached_code(order, ast, tuple(coordinate_names), bound)
 
 
@@ -678,14 +791,50 @@ def compile_jet2(ast, coordinate_names, parameters=None):
     return _code(2, ast, coordinate_names, parameters)
 
 
+def _width_error(width, names):
+    return ValueError(f"{width} coordinate values for the {len(names)} coordinates {names}")
+
+
 def _run(order, ast, coordinate_names, coordinate_values, parameters):
     """Result of the compiled code at the point."""
     names = tuple(coordinate_names)
     values = tuple(float(v) for v in coordinate_values)
     if len(values) != len(names):
-        raise ValueError(f"{len(values)} coordinate values for the {len(names)} "
-                         f"coordinates {names}")
+        raise _width_error(len(values), names)
     return _code(order, ast, names, parameters)(*values)
+
+
+def eval_block(order, fused, coordinate_names, points, parameters=None) -> np.ndarray:
+    """The flat outputs of a fused set (a tuple of ASTs) at the N rows of an
+    (N, d) points array, as a (K, N) block, from one call of the stacked
+    code. Raises nothing for a point: a column is non-finite wherever the
+    scalar code raises at that point, and may be non-finite where it does
+    not (an overflowed temp that the scalar code drops), so a caller re-runs
+    the scalar code at a non-finite column. Elsewhere each entry equals the
+    scalar code's to the bit."""
+    names = tuple(coordinate_names)
+    points = np.asarray(points, dtype=float)
+    if points.shape[-1] != len(names):
+        raise _width_error(points.shape[-1], names)
+    with np.errstate(all="ignore"):  # the non-finite entries are the result
+        outputs = _code(order, fused, names, parameters, stacked=True)(*points.T)
+    block = np.empty((len(outputs), len(points)))
+    for row, output in zip(block, outputs):
+        row[...] = output
+    return block
+
+
+def _stacked_jet2(ast, coordinate_names, points, parameters):
+    """eval_jet2 at each row of an (N, d) array: the stacked code's block,
+    with each non-finite column replaced, in row order, by the scalar code's
+    jet at its point, which raises there if the point fails alone."""
+    block = eval_block(2, (ast,), coordinate_names, points, parameters)
+    for column in np.flatnonzero(~np.isfinite(block).all(axis=0)).tolist():
+        value, gradient, hessian = _run(2, ast, coordinate_names, points[column], parameters)
+        block[:, column] = (value, *gradient, *hessian)
+    n = len(coordinate_names)
+    rows = block.T
+    return Jet2(rows[:, 0], rows[:, 1:n + 1], rows[:, n + 1:].reshape(-1, n, n))
 
 
 def eval_jet2(ast, coordinate_names, coordinate_values, parameters=None) -> Jet2:
@@ -694,7 +843,14 @@ def eval_jet2(ast, coordinate_names, coordinate_values, parameters=None) -> Jet2
     Coordinates are seeded as jet variables in the given order; parameters
     bind as constants. Raises DomainError (with the expression attached) if
     the point is outside a function's domain or a result is not finite.
+
+    An (N, d) array of points gives stacks, value (N,), gradient (N, d) and
+    Hessian (N, d, d), from one stacked evaluation; each row equals the
+    point's own jet to the bit, and a failure raises the error of the first
+    failing point's own call.
     """
+    if isinstance(coordinate_values, np.ndarray) and coordinate_values.ndim == 2:
+        return _stacked_jet2(ast, coordinate_names, coordinate_values, parameters)
     value, gradient, hessian = _run(2, ast, coordinate_names, coordinate_values, parameters)
     n = len(gradient)
     return Jet2(value, np.array(gradient), np.array(hessian).reshape(n, n))

@@ -5,6 +5,12 @@ Conventions fixed throughout the package: signature (-, +, ..., +), geometric
 units (G = c = 1), index order Gamma[mu, nu, rho] = Gamma^mu_{nu rho}, and
 metric-derivative array dg[lam, mu, nu] = d_lam g_{mu nu}.
 
+`MetricEvaluator.metric_at`, `covariant_hessian` and `field_jet` take one
+Point, or an (N, d) coordinate array, for which they evaluate the N points
+as one stack: the metric, its derivatives, g^-1, Gamma and the Hessian then
+carry a leading axis of N, and each row equals the single point's result to
+the bit. A single Point runs the scalar code and never a one-row stack.
+
 All operations here are pure functions of their inputs and safe to evaluate
 concurrently over disjoint points.
 """
@@ -143,9 +149,11 @@ class MetricAt:
     """Metric data at one point: components and first derivatives, with the
     inverse and the Christoffel symbols Gamma^mu_{nu rho} built on first use
     of either (one cached solve), so a caller that never reads them pays
-    nothing. Reading either on a singular g raises SingularMetric."""
+    nothing. Reading either on a singular g raises SingularMetric. For a
+    stack, point is the (N, d) coordinate array and every array has a
+    leading axis of N."""
 
-    point: Point
+    point: Point | np.ndarray
     g: np.ndarray
     first_derivatives: np.ndarray  # dg[lam, mu, nu] = d_lam g_{mu nu}
     #: (g^{-1}, Gamma) once built
@@ -153,8 +161,9 @@ class MetricAt:
 
     def _solved(self):
         if self._connection is None:
+            where = getattr(self.point, "coordinates", self.point)
             object.__setattr__(self, "_connection", _inverse_and_christoffels(
-                self.g, self.first_derivatives, self.point.coordinates))
+                self.g, self.first_derivatives, where))
         return self._connection
 
     @property
@@ -192,7 +201,8 @@ class MetricEvaluator:
     Two fused sets are compiled once, at preparation time: the unique
     components, whose values and gradients two precomputed index arrays
     scatter into g and dg, and the singular loci, kept apart so that the
-    guard fires before a component undefined at a locus can raise.
+    guard fires before a component undefined at a locus can raise. Their
+    stacked variants are compiled on the first stacked metric_at call.
     """
 
     def __init__(self, model: SpacetimeModel):
@@ -211,7 +221,8 @@ class MetricEvaluator:
                     seen[id(node)] = len(unique)
                     unique.append(node)
                 slot[i, j] = slot[j, i] = seen[id(node)]
-        self._fused = ex.compile_jet1(tuple(unique), self.names, self.params)
+        self._unique = tuple(unique)
+        self._fused = ex.compile_jet1(self._unique, self.names, self.params)
         # the fused tuple holds (value, gradient...) per unique component, so
         # d_lam of slot (i, j) sits 1 + lam after that component's value
         self._g_index = slot * (d + 1)
@@ -243,7 +254,12 @@ class MetricEvaluator:
             raise DomainError(f"{exc} [metric of '{self.name}' at {coords}]") from None
         return flat[self._g_index], flat[self._dg_index]
 
-    def metric_at(self, point: Point, checks=True) -> MetricAt:
+    def metric_at(self, point: Point | np.ndarray, checks=True) -> MetricAt:
+        """Metric data at a point: the locus guard, the components, then with
+        checks the condition cap and the signature. An (N, d) coordinate array
+        gives the stacked MetricAt of its rows (`_metric_stack`)."""
+        if isinstance(point, np.ndarray):
+            return self._metric_stack(point, checks)
         coords = point.coordinates
         if len(coords) != self.dim:
             raise ValueError(f"point has {len(coords)} coordinates, chart has {self.dim}")
@@ -265,25 +281,53 @@ class MetricEvaluator:
                     f"positive) is not Lorentzian at {coords}")
         return MetricAt(point, g, dg)
 
+    def _metric_stack(self, points, checks):
+        """metric_at at each row of an (N, d) array, from one stacked call of
+        each fused set and one stacked eigvalsh. A row that fails the guard,
+        the cap or the signature, or whose stacked values are not finite,
+        runs through the single-point call in row order: the first such row
+        raises the single-point error, and a row that passes there (an
+        overflow the scalar code drops) takes its values from that call."""
+        if points.shape[-1] != self.dim:
+            raise ValueError(f"point has {points.shape[-1]} coordinates, chart has {self.dim}")
+        loci = ex.eval_block(0, self._loci, self.names, points, self.params)
+        flat = ex.eval_block(1, self._unique, self.names, points, self.params)
+        # NaN fails no comparison, so a non-finite row is flagged on its own
+        rerun = ~(np.isfinite(loci).all(axis=0) & np.isfinite(flat).all(axis=0))
+        rerun |= (np.abs(loci) < LOCUS_GUARD).any(axis=0)
+        columns = flat.T
+        g, dg = columns[:, self._g_index], columns[:, self._dg_index]
+        if checks:
+            # eigvalsh refuses NaN: a flagged row is re-run anyway
+            eigenvalues = np.linalg.eigvalsh(np.where(rerun[:, None, None], np.eye(self.dim), g))
+            magnitudes = np.abs(eigenvalues)
+            rerun |= magnitudes.min(axis=-1) <= SIGNATURE_TOL * magnitudes.max(axis=-1)
+            rerun |= np.add.reduce(eigenvalues < 0.0, axis=-1) != 1
+        for row in np.flatnonzero(rerun).tolist():
+            single = self.metric_at(Point(points[row]), checks)
+            g[row], dg[row] = single.g, single.first_derivatives
+        return MetricAt(points, g, dg)
+
 
 def christoffels_from(g_inverse, dg) -> np.ndarray:
     """Gamma^mu_{nu rho} = 1/2 g^{mu sig}(d_nu g_{sig rho} + d_rho g_{sig nu}
     - d_sig g_{nu rho}) as one product of g^{-1} with the permuted sums, reshaped
-    to (d, d^2); exactly symmetric in (nu, rho) because the sums are, as dg is."""
-    d = g_inverse.shape[0]
-    lowered = dg.transpose(1, 0, 2)  # lowered[sig, nu, rho] = d_nu g_{sig rho}
-    sums = lowered + lowered.transpose(0, 2, 1) - dg
-    return (0.5 * (g_inverse @ sums.reshape(d, d * d))).reshape(d, d, d)
+    to (d, d^2); exactly symmetric in (nu, rho) because the sums are, as dg is.
+    Leading axes are a stack, each matrix computed as it is alone."""
+    *stack, d, _, _ = dg.shape
+    lowered = dg.swapaxes(-3, -2)  # lowered[sig, nu, rho] = d_nu g_{sig rho}
+    sums = lowered + lowered.swapaxes(-2, -1) - dg
+    return (0.5 * (g_inverse @ sums.reshape(*stack, d, d * d))).reshape(dg.shape)
 
 
 def _inverse_and_christoffels(g, dg, coords):
     """(g^{-1}, Gamma) by LU with partial pivoting; the inverse is symmetrized
-    so the connection stays symmetric to the bit."""
+    so the connection stays symmetric to the bit. Leading axes are a stack."""
     try:
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError:
         raise SingularMetric(f"metric is singular at {coords}") from None
-    ginv = 0.5 * (ginv + ginv.T)
+    ginv = 0.5 * (ginv + ginv.swapaxes(-2, -1))
     return ginv, christoffels_from(ginv, dg)
 
 
@@ -300,8 +344,9 @@ def geodesic_acceleration(g, dg, v) -> np.ndarray:
 
 def covariant_hessian_from(gradient, hessian, christoffels) -> np.ndarray:
     """d_mu d_nu f - Gamma^lam_{mu nu} d_lam f from the partials of f and a
-    connection, which may be restricted to a slice's coordinates."""
-    return hessian - np.einsum("l,lmn->mn", gradient, christoffels)
+    connection, which may be restricted to a slice's coordinates; leading
+    axes are a stack."""
+    return hessian - np.einsum("...l,...lmn->...mn", gradient, christoffels)
 
 
 _EVALUATORS: "weakref.WeakKeyDictionary[SpacetimeModel, MetricEvaluator]" = \
@@ -322,13 +367,16 @@ def eval_metric(model: SpacetimeModel, p: Point) -> MetricAt:
     return evaluator_for(model).metric_at(p)
 
 
-def field_jet(f: ex.ScalarField, model: SpacetimeModel, p: Point) -> ex.Jet2:
-    return ex.eval_jet2(f.ast, model.coordinate_names, p.coordinates, model.parameters)
+def field_jet(f: ex.ScalarField, model: SpacetimeModel, p: Point | np.ndarray) -> ex.Jet2:
+    """The jet of f at a Point, or the stacked jets at an (N, d) array's rows."""
+    coords = p if isinstance(p, np.ndarray) else p.coordinates
+    return ex.eval_jet2(f.ast, model.coordinate_names, coords, model.parameters)
 
 
-def covariant_hessian(f: ex.ScalarField, model: SpacetimeModel, p: Point,
+def covariant_hessian(f: ex.ScalarField, model: SpacetimeModel, p: Point | np.ndarray,
                       metric_at: MetricAt | None = None) -> np.ndarray:
-    """nabla_mu nabla_nu f = d_mu d_nu f - Gamma^lam_{mu nu} d_lam f."""
+    """nabla_mu nabla_nu f = d_mu d_nu f - Gamma^lam_{mu nu} d_lam f; at an
+    (N, d) array of points, the (N, d, d) stack, with a stacked metric_at."""
     if metric_at is None:
         metric_at = eval_metric(model, p)
     jet = field_jet(f, model, p)

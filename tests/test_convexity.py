@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from stconvex import (CInterval, ConvexityQuery, DomainError, NonLorentzianMetric,
-                      NullGradient, Point, SingularMetric, SpacetimeModel, UnknownSymbol,
-                      admissible_c_interval, builtin_models, canonical_field,
+                      NullGradient, Point, SingularMetric, SpacetimeModel, ToolkitError,
+                      UnknownSymbol, admissible_c_interval, builtin_models, canonical_field,
                       canonical_field_spherical, certify_region, covariant_hessian,
                       gradient_invariant, hessian_signature)
 from stconvex.convexity import GRID_CHUNK, SignatureDescriptor, grid_points
@@ -535,6 +535,12 @@ UNIT_BOX = ((0.0, 1.0),) * 4
 _GROWING = "0.5*(x^2+y^2+z^2) - 0.5*t^2*(0.2 + {}*t + {}*x + {}*y)"
 
 
+SCHW = CAT.model("schwarzschild-exterior")
+SCHW_IN = CAT.model("schwarzschild-interior")
+#: the exterior box beyond r = 4M, where 0.5 r^2 - 0.05 t^2 is certified
+_SCHW_FAR = ((-1.0, 1.0), (4.0, 8.0), (0.5, 2.5), (0.1, 6.0))
+
+
 _SCANS = {  # id -> (model, field, region, samples per axis, witness index or None)
     "alpha-1.2-3": (MINK, canonical_field(1.2), BOX, 3, 0),
     "growing-4-second-and-last": (MINK, MINK.field(_GROWING.format(0.2, 0.1, 0.0)),
@@ -548,6 +554,11 @@ _SCANS = {  # id -> (model, field, region, samples per axis, witness index or No
     **{f"{chart}-{alpha}-{n}": (*_closed_form_case(chart, alpha), CAT.model(chart).sample_box,
                                 n, None)
        for n in (3, 4, 5, 6) for chart, alpha in (("milne", 0.7), ("minkowski-spherical", 1.0))},
+    **{f"schwarzschild-exterior-certified-{n}": (SCHW, SCHW.field("0.5*r^2 - 0.05*t^2"),
+                                                  _SCHW_FAR, n, None) for n in (3, 5)},
+    "schwarzschild-exterior-r4-5": (SCHW, SCHW.field("r^4 - 0.05*t^2"), _SCHW_FAR, 5, 100),
+    **{f"schwarzschild-interior-{n}": (SCHW_IN, SCHW_IN.field("0.5*r^2 - 0.3*t^2"),
+                                       SCHW_IN.sample_box, n, 0) for n in (3, 5)},
 }
 
 
@@ -580,6 +591,54 @@ def test_domain_error_from_a_later_chunk_names_its_grid_point():
     assert str(info.value) == str(reference.value)
     assert str(info.value).endswith("[at grid point (2.0, -1.0, -1.0, -1.0)]")
     assert grid_points(query).index(Point((2.0, -1.0, -1.0, -1.0))) // GRID_CHUNK == 8
+
+
+def _flat_chart(g_tt, loci=()):
+    return SpacetimeModel.from_components(
+        "flat-variant", ("t", "x", "y", "z"),
+        {(0, 0): g_tt, (1, 1): "1", (2, 2): "1", (3, 3): "1"}, singular_loci=loci)
+
+
+#: id -> (model, field text), each failing first at t = 2, the last t slab of
+#: a 6^4 grid over t in [-1, 2], 1080 points (eight chunks) in
+_LATER_CHUNK_ERRORS = {
+    "log-of-zero": (MINK, "log(2 - t) + 0.5*x^2"),
+    "sqrt-of-zero": (MINK, "sqrt(2 - t) + 0.5*x^2"),
+    "division-by-zero": (MINK, "x^2/(2 - t)"),
+    "abs-slope-at-zero": (MINK, "abs(2 - t) + 0.5*x^2"),
+    "zero-to-the-minus-2": (MINK, "(2 - t)^(-2) + 0.5*x^2"),
+    "negative-to-the-0.5": (MINK, "(1.5 - t)^0.5 + 0.5*x^2"),
+    "exp-overflow": (MINK, "exp(400*t) + 0.5*x^2"),
+    "tan-at-its-pole": (MINK, "1e300*tan(0.7853981633974483*t) + 0.5*x^2"),
+    "locus-guard": (_flat_chart("-1", loci=("2 - t",)), "0.5*x^2"),
+    "condition-cap": (_flat_chart("-(2 - t)"), "0.5*x^2"),
+    "wrong-signature": (_flat_chart("t - 1.5"), "0.5*x^2"),
+}
+
+
+@pytest.mark.parametrize("model, text", _LATER_CHUNK_ERRORS.values(),
+                         ids=_LATER_CHUNK_ERRORS.keys())
+def test_errors_from_a_later_chunk_match_the_per_point_scan(model, text):
+    """Each way a point can fail gives the per-point scan's error, message
+    and attributes (a locus guard keeps its locus); the stacked calls alone
+    raise the failing point's own single-point error."""
+    field = model.field(text)
+    query = ConvexityQuery(region=((-1.0, 2.0),) + BOX[1:], samples_per_axis=6)
+    with pytest.raises(ToolkitError) as info:
+        certify_region(model, field, query)
+    with pytest.raises(ToolkitError) as reference:
+        certify_region_per_point(model, field, query)
+    assert type(info.value) is type(reference.value)
+    assert str(info.value) == str(reference.value)
+    assert vars(info.value) == vars(reference.value)
+    first = Point((2.0, -1.0, -1.0, -1.0))
+    assert str(info.value).endswith(f"[at grid point {first.coordinates}]")
+    with pytest.raises(ToolkitError) as stacked:
+        covariant_hessian(field, model, np.array([p.coordinates for p in grid_points(query)]))
+    with pytest.raises(ToolkitError) as single:
+        covariant_hessian(field, model, first)
+    assert (type(stacked.value), str(stacked.value), vars(stacked.value)) == \
+        (type(single.value), str(single.value), vars(single.value))
 
 
 def test_scan_memory_is_bounded_by_the_chunk():

@@ -471,6 +471,56 @@ def test_jet1_and_jet2_value_and_gradient_bit_identical(ast, x, y):
     assert j2.gradient.tolist() == list(j1.gradient)
 
 
+#: coordinates at the edges of the functions' domains: zeros of both signs,
+#: exp overflow and underflow, a subnormal, a huge value and tan's pole
+_EDGE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 710.0, -745.0, 1e-320,
+                                   1e200, math.pi / 2]),
+                  st.floats(-5.0, 5.0, allow_nan=False))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_asts, st.lists(st.tuples(_EDGE, _EDGE), min_size=1, max_size=5))
+def test_stacked_jets_are_the_single_point_jets_or_their_first_error(ast, points):
+    """eval_jet2 on an (N, 2) array equals each point's own jet to the bit,
+    or raises the DomainError of the first point whose own call raises."""
+    singles = []
+    for point in points:
+        try:
+            singles.append(eval_jet2(ast, XY, point))
+        except DomainError as exc:
+            singles.append(exc)
+    first_error = next((s for s in singles if isinstance(s, DomainError)), None)
+    if first_error is not None:
+        with pytest.raises(DomainError) as info:
+            eval_jet2(ast, XY, np.array(points))
+        assert str(info.value) == str(first_error)
+        return
+    stacked = eval_jet2(ast, XY, np.array(points))
+    for row, jet in enumerate(singles):
+        for part in ("value", "gradient", "hessian"):
+            assert np.ascontiguousarray(getattr(stacked, part)[row]).tobytes() \
+                == np.asarray(getattr(jet, part), dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("text", ["log(x)^0 + y", "sqrt(x - y)^0", "(y/(x + 1))^0 * x",
+                                  "x^log(0 - 1)", "1^log(0 - 1) + x", "abs(log(x)) * y"])
+def test_stacked_code_turns_no_failure_finite(text):
+    """A power 0, which is 1 whatever its base, or a constant exponent takes
+    a NaN from a failed step in the stacked code; the stack still raises the
+    first failing point's own error rather than return a finite row."""
+    ast = parse(text, XY)
+    points = [(2.0, 1.0), (-1.0, 1.0)]
+    errors = []
+    for point in points:
+        try:
+            eval_jet2(ast, XY, point)
+        except DomainError as exc:
+            errors.append(exc)
+    with pytest.raises(DomainError) as stacked:
+        eval_jet2(ast, XY, np.array(points))
+    assert errors and str(stacked.value) == str(errors[0])
+
+
 def test_equal_asts_share_compiled_code():
     """A re-parsed equal expression hits the cache, and so does a new value
     of a parameter the expression does not reference."""

@@ -13,6 +13,7 @@ from stconvex import (NullGradient, Point, SingularMetric, TangentVector, Unknow
                       gradient_invariant)
 from stconvex.expressions import eval_jet2
 from stconvex import DomainError, geometry
+from stconvex import expressions as ex
 from stconvex.expressions import compile_jet1, to_source
 from stconvex.convexity import PSD_TOLERANCE
 from stconvex.geometry import SpacetimeModel, christoffels_from, geodesic_acceleration
@@ -498,3 +499,91 @@ def test_dimension_is_the_number_of_coordinates():
     assert plane.dimension == 2 and MINK.dimension == 4
     with pytest.raises(TypeError):
         replace(plane, dimension=3)
+
+
+# --------------------------------------------------------------------------
+# stacked evaluation: (N, d) coordinate arrays
+# --------------------------------------------------------------------------
+
+#: every FUNCTIONS entry, '/', and integer, negative, non-integer, 0th and 1st
+#: powers, finite on every catalog chart's sample box
+_EVERY_FUNCTION = ("sin({0})*cos({1}) + tan(0.3*{2}) + sinh(0.5*{1})*cosh(0.2*{3})"
+                   " + tanh({0}*{3}) + exp(0.1*{2})*log({1}^2 + 2) + sqrt({3}^2 + 1)"
+                   " + abs({2} - 0.3)/(3 + {0}^2) + {0}^3*{1} + ({1}^2 + 0.5)^(-2)"
+                   " + ({3}^2 + 1)^0.7 + {2}^1 - {1}^0")
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+def test_stacked_entry_points_equal_single_points_to_the_bit(model):
+    """eval_jet2, metric_at (g, dg, g^-1, Gamma) and covariant_hessian on an
+    (N, d) array give, row by row, the single point's bits."""
+    f = model.field(_EVERY_FUNCTION.format(*model.coordinate_names))
+    rng = np.random.default_rng(16001)
+    points = np.array([random_point_in(model.sample_box, rng) for _ in range(150)])
+    evaluator = geometry.evaluator_for(model)
+    jets = eval_jet2(f.ast, model.coordinate_names, points, model.parameters)
+    metric = evaluator.metric_at(points)
+    hessians = covariant_hessian(f, model, points, metric_at=metric)
+    assert hessians.shape == (150, 4, 4) and metric.first_derivatives.shape == (150, 4, 4, 4)
+    for row, coords in enumerate(points):
+        point = Point(coords)
+        jet = eval_jet2(f.ast, model.coordinate_names, point.coordinates, model.parameters)
+        single = evaluator.metric_at(point)
+        assert (_bits(jets.value[row]), _bits(jets.gradient[row]), _bits(jets.hessian[row])) \
+            == (_bits(jet.value), _bits(jet.gradient), _bits(jet.hessian))
+        for stacked, alone in ((metric.g, single.g), (metric.first_derivatives,
+                               single.first_derivatives), (metric.g_inverse, single.g_inverse),
+                               (metric.christoffels, single.christoffels)):
+            assert _bits(stacked[row]) == _bits(alone)
+        assert _bits(hessians[row]) == _bits(covariant_hessian(f, model, point, metric_at=single))
+
+
+def test_stacked_calls_check_the_width_as_single_points_do():
+    f = MINK.field("x^2 - t^2")
+    three = np.zeros((5, 3))
+    for stacked, single in (
+            (lambda: geometry.evaluator_for(MINK).metric_at(three),
+             lambda: geometry.evaluator_for(MINK).metric_at(Point((0.0, 0.0, 0.0)))),
+            (lambda: covariant_hessian(f, MINK, three),
+             lambda: covariant_hessian(f, MINK, Point((0.0, 0.0, 0.0)))),
+            (lambda: eval_jet2(f.ast, MINK.coordinate_names, three),
+             lambda: eval_jet2(f.ast, MINK.coordinate_names, (0.0, 0.0, 0.0)))):
+        with pytest.raises(ValueError) as from_stack:
+            stacked()
+        with pytest.raises(ValueError) as from_point:
+            single()
+        assert str(from_stack.value) == str(from_point.value)
+
+
+def test_stacked_code_compiles_on_the_first_stacked_call_only(monkeypatch):
+    """An evaluator's construction and single-point calls compile no stacked
+    code; the first stacked call compiles the loci, the components and the
+    field once each, and a second stacked call compiles nothing."""
+    compiled = []
+    original = ex._compile
+
+    def recording(ast, names, parameters, order, stacked=False):
+        compiled.append(stacked)
+        return original(ast, names, parameters, order, stacked)
+
+    monkeypatch.setattr(ex, "_compile", recording)
+    model = SCHW.with_parameters(M=0.8765)  # a mass no other test compiles
+    f = model.field("r^2*sin(theta) - 0.8765*t^2")
+    point = Point((0.1, 4.0, 1.0, 2.0))
+    evaluator = geometry.evaluator_for(model)
+    evaluator.metric_at(point)
+    covariant_hessian(f, model, point)
+    eval_jet2(f.ast, model.coordinate_names, point.coordinates, model.parameters)
+    assert compiled and not any(compiled)
+    compiled.clear()
+    points = np.array([point.coordinates, (0.2, 5.0, 1.5, 3.0)])
+    covariant_hessian(f, model, points)
+    assert compiled == [True, True, True]
+    compiled.clear()
+    covariant_hessian(f, model, points + 0.5)
+    evaluator.metric_at(points)
+    assert compiled == []
