@@ -29,7 +29,7 @@ from .geodesics import (ClosedCurveReport, CurveSpec, GeodesicState,
                         convexity_along_curve, integrate_geodesic)
 from .geometry import (MetricAt, Point, SpacetimeModel, TangentVector,
                        VectorClass, classify_vector, covariant_hessian,
-                       eval_metric, gradient_invariant)
+                       eval_metric)
 
 __version__ = "0.1.0"
 
@@ -45,9 +45,8 @@ __all__ = [
     "barrier_scan", "builtin_models", "canonical_field",
     "canonical_field_spherical", "certify_region", "classify_vector",
     "closed_curve_probe", "convexity_along_curve", "covariant_hessian",
-    "eval_jet2", "eval_metric", "gradient_invariant", "hessian_signature",
-    "induced_metric", "integrate_geodesic", "level_set_frame",
-    "mean_curvature", "null_expansions", "parse", "schwarzschild_trk",
-    "second_fundamental_form", "slice_laplacian", "slice_restricted_hessian",
-    "to_source",
+    "eval_jet2", "eval_metric", "hessian_signature", "induced_metric",
+    "integrate_geodesic", "level_set_frame", "mean_curvature",
+    "null_expansions", "parse", "schwarzschild_trk", "second_fundamental_form",
+    "slice_laplacian", "slice_restricted_hessian", "to_source",
 ]

@@ -74,10 +74,6 @@ class SignatureDescriptor:
             return "Riemannian"
         return "indefinite"
 
-    @property
-    def is_lorentzian(self) -> bool:
-        return self.label == "Lorentzian"
-
 
 def hessian_signature(h: np.ndarray, tol: float = PSD_TOLERANCE
                       ) -> SignatureDescriptor | list[SignatureDescriptor]:

@@ -22,12 +22,13 @@ are dimensionless (geometric units throughout).
 There is one evaluator: `_CodeGen` emits straight-line Python for the value,
 the gradient and the upper triangle of the Hessian, mirrored so that the
 Hessian is symmetric to the bit. Parameters bind as constants when the code
-is compiled. All six entry points (`compile_value`, `compile_jet1`,
-`compile_jet2`, `eval_jet2`, `eval_jet1`, `eval_value`) take that code from
-one bounded LRU cache keyed by the order, the AST or fused set (a tuple of
-ASTs compiled to one function that returns one flat tuple), the coordinate
-names and the values of the parameters referenced. Each AST node computes
-its hash and its symbol set once, on first use, so a key costs O(1).
+is compiled. All five entry points (`compile_value`, `compile_jet1`,
+`compile_jet2`, `eval_jet2`, and `eval_jet1`, which returns the compiled
+(value, gradient) pair) take that code from one bounded LRU cache keyed by
+the order, the AST or fused set (a tuple of ASTs compiled to one function
+that returns one flat tuple), the coordinate names and the values of the
+parameters referenced. Each AST node computes its hash and its symbol set
+once, on first use, so a key costs O(1).
 The emitted code alone keeps one contract for every entry point: all outputs
 are finite, or the call raises a DomainError naming the expression (in a
 fused set, the member that failed) and the point.
@@ -355,16 +356,6 @@ class Jet2:
         self.value = value
         self.gradient = gradient
         self.hessian = hessian
-
-
-class Jet1:
-    """Value and gradient tuple of an expression at a point."""
-
-    __slots__ = ("value", "gradient")
-
-    def __init__(self, value, gradient):
-        self.value = value
-        self.gradient = gradient
 
 
 # --------------------------------------------------------------------------
@@ -856,11 +847,7 @@ def eval_jet2(ast, coordinate_names, coordinate_values, parameters=None) -> Jet2
     return Jet2(value, np.array(gradient), np.array(hessian).reshape(n, n))
 
 
-def eval_jet1(ast, coordinate_names, coordinate_values, parameters=None) -> Jet1:
-    """Value and gradient only; used where second derivatives are not needed."""
-    return Jet1(*_run(1, ast, coordinate_names, coordinate_values, parameters))
-
-
-def eval_value(ast, coordinate_names, coordinate_values, parameters=None) -> float:
-    """Plain numeric evaluation (no derivatives)."""
-    return _run(0, ast, coordinate_names, coordinate_values, parameters)
+def eval_jet1(ast, coordinate_names, coordinate_values, parameters=None):
+    """(value, gradient tuple) of an expression at a point, the compiled
+    order-1 code's own pair; used where second derivatives are not needed."""
+    return _run(1, ast, coordinate_names, coordinate_values, parameters)

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expressions as ex
-from .errors import NonSpacelikeSlice, NotBlockForm, OutOfDomain, WrongSignature
-from .geometry import (SIGNATURE_TOL, MetricAt, Point, SpacetimeModel, TangentVector,
-                       _gradient_data, _inverse_and_christoffels, _sign_counts,
+from .errors import (NonSpacelikeSlice, NotBlockForm, NullGradient, OutOfDomain,
+                     WrongSignature)
+from .geometry import (NULL_TOL, SIGNATURE_TOL, MetricAt, Point, SpacetimeModel,
+                       TangentVector, _inverse_and_christoffels, _sign_counts,
                        covariant_hessian, covariant_hessian_from, eval_metric,
                        evaluator_for, field_jet)
 
@@ -45,6 +46,23 @@ class LevelSetFrame:
     norm: float
     unit_normal: TangentVector
     tangent_basis: tuple[TangentVector, ...]
+
+
+def _gradient_data(f, model, p, metric_at=None):
+    """(jet, metric_at, eps, norm, raised gradient) shared by level-set code."""
+    if metric_at is None:
+        metric_at = eval_metric(model, p)
+    jet = field_jet(f, model, p)
+    grad_up = metric_at.g_inverse @ jet.gradient
+    q = float(jet.gradient @ grad_up)
+    # null relative to the Cauchy-Schwarz bound |q| <= |df| |g^-1 df|, which
+    # scales as q does under f -> lambda f and g -> s g; a zero gradient is null
+    if abs(q) <= NULL_TOL * math.sqrt(float(jet.gradient @ jet.gradient)
+                                      * float(grad_up @ grad_up)):
+        raise NullGradient(f"grad f . grad f = {q:.3e} at {p.coordinates}; "
+                           "the level set is degenerate there")
+    eps = 1 if q > 0 else -1
+    return jet, metric_at, eps, float(np.sqrt(eps * q)), grad_up
 
 
 def level_set_frame(f: ex.ScalarField, model: SpacetimeModel, p: Point,
@@ -188,11 +206,9 @@ def null_expansions(model: SpacetimeModel, base_point) -> tuple[float, float]:
     future_norm2 = f_a * low_a + f_b * low_b
     if future_norm2 >= 0.0:
         raise NotBlockForm("declared future direction is not timelike at this point")
-    radius_jet = ex.eval_jet1(bf.area_radius, base_names, values, params)
-    radius = radius_jet.value
+    radius, (dr_a, dr_b) = ex.eval_jet1(bf.area_radius, base_names, values, params)
     if radius <= 0.0:
         raise OutOfDomain(f"area radius {radius!r} must be positive")
-    dr_a, dr_b = radius_jet.gradient
     inv_norm = 1.0 / math.sqrt(-future_norm2)
     along_t = (f_a * dr_a + f_b * dr_b) * inv_norm
     across = abs(low_a * dr_b - low_b * dr_a) * inv_norm / math.sqrt(g_ab * g_ab - g_aa * g_bb)

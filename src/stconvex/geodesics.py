@@ -79,11 +79,6 @@ class Trajectory:
         base = self.norm_history[0]
         return max(abs(v - base) for v in self.norm_history)
 
-    @property
-    def drift_constant(self) -> float:
-        """C such that the observed drift equals C * h^4."""
-        return self.max_norm_drift / self.step_size ** 4
-
 
 def integrate_geodesic(model: SpacetimeModel, s0: GeodesicState,
                        lambda_span: tuple[float, float],

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import expressions as ex
-from .errors import (DomainError, NullGradient, SingularMetric, UnknownSymbol,
-                     WrongSignature)
+from .errors import DomainError, SingularMetric, UnknownSymbol, WrongSignature
 
 #: reject metrics whose condition estimate (infinite when singular) reaches this
 CONDITION_CAP = 1e12
@@ -257,8 +256,11 @@ class MetricEvaluator:
     def metric_at(self, point: Point | np.ndarray, checks=True) -> MetricAt:
         """Metric data at a point: the locus guard, the components, then with
         checks the condition cap and the signature. An (N, d) coordinate array
-        gives the stacked MetricAt of its rows (`_metric_stack`)."""
+        gives the stacked MetricAt of its rows (`_metric_stack`); an array of
+        any other shape is refused."""
         if isinstance(point, np.ndarray):
+            if point.ndim != 2:
+                raise ValueError(f"a coordinate array must be (N, d), not {point.shape}")
             return self._metric_stack(point, checks)
         coords = point.coordinates
         if len(coords) != self.dim:
@@ -322,10 +324,15 @@ def christoffels_from(g_inverse, dg) -> np.ndarray:
 
 def _inverse_and_christoffels(g, dg, coords):
     """(g^{-1}, Gamma) by LU with partial pivoting; the inverse is symmetrized
-    so the connection stays symmetric to the bit. Leading axes are a stack."""
+    so the connection stays symmetric to the bit. An (N, d, d) stack, with
+    the (N, d) coordinate array, raises the error of its first singular row
+    as that point alone raises it."""
     try:
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError:
+        if g.ndim == 3:
+            for row in range(len(g)):
+                _inverse_and_christoffels(g[row], dg[row], tuple(coords[row].tolist()))
         raise SingularMetric(f"metric is singular at {coords}") from None
     ginv = 0.5 * (ginv + ginv.swapaxes(-2, -1))
     return ginv, christoffels_from(ginv, dg)
@@ -396,27 +403,3 @@ def classify_vector(metric_at: MetricAt, v: TangentVector) -> VectorClass:
     if abs(q) <= NULL_TOL * math.sqrt(float(comps @ comps) * float(lowered @ lowered)):
         return VectorClass.NULL
     return VectorClass.TIMELIKE if q < 0 else VectorClass.SPACELIKE
-
-
-def gradient_invariant(f: ex.ScalarField, model: SpacetimeModel, p: Point) -> tuple[int, float]:
-    """(eps, norm) with eps = sign of grad f . grad f and norm = sqrt(eps *
-    grad f . grad f); raises NullGradient when the gradient is null."""
-    _, _, eps, norm, _ = _gradient_data(f, model, p)
-    return eps, norm
-
-
-def _gradient_data(f, model, p, metric_at=None):
-    """(jet, metric_at, eps, norm, raised gradient) shared by level-set code."""
-    if metric_at is None:
-        metric_at = eval_metric(model, p)
-    jet = field_jet(f, model, p)
-    grad_up = metric_at.g_inverse @ jet.gradient
-    q = float(jet.gradient @ grad_up)
-    # null relative to the Cauchy-Schwarz bound |q| <= |df| |g^-1 df|, which
-    # scales as q does under f -> lambda f and g -> s g; a zero gradient is null
-    if abs(q) <= NULL_TOL * math.sqrt(float(jet.gradient @ jet.gradient)
-                                      * float(grad_up @ grad_up)):
-        raise NullGradient(f"grad f . grad f = {q:.3e} at {p.coordinates}; "
-                           "the level set is degenerate there")
-    eps = 1 if q > 0 else -1
-    return jet, metric_at, eps, float(np.sqrt(eps * q)), grad_up

@@ -14,8 +14,8 @@ from stconvex import expressions as ex
 from stconvex.convexity import (CInterval, ConvexityCertificate, PerPointStats,
                                 admissible_c_interval, grid_points, hessian_signature)
 from stconvex.errors import NotBlockForm, OutOfDomain, ToolkitError, WrongSignature
-from stconvex.expressions import eval_value
-from stconvex.geometry import _sign_counts, christoffels_from, covariant_hessian, evaluator_for
+from stconvex.geometry import (SpacetimeModel, _sign_counts, christoffels_from,
+                               covariant_hessian, evaluator_for)
 
 
 def fd_derivative(fn, x, axis, h=1e-3):
@@ -44,8 +44,10 @@ def fd_hessian(fn, x, h=1e-3):
 
 
 def value_fn(ast, names, params=None):
+    code = ex.compile_value(ast, names, params)
+
     def fn(x):
-        return eval_value(ast, names, tuple(x), params)
+        return code(*(float(v) for v in x))
     return fn
 
 
@@ -66,10 +68,17 @@ def fd_christoffels(model, x, h=1e-3):
     g = np.zeros((d, d))
     for i in range(d):
         for j in range(i, d):
-            g[i, j] = g[j, i] = eval_value(model.components[i][j], model.coordinate_names,
-                                           tuple(x), model.parameters)
+            g[i, j] = g[j, i] = value_fn(model.components[i][j], model.coordinate_names,
+                                         model.parameters)(x)
     ginv = np.linalg.inv(g)
     return christoffels_from(ginv, fd_metric_derivatives(model, x, h))
+
+
+def flat_chart(g_tt, loci=()):
+    """Minkowski space with the given g_tt and singular loci, over t x y z."""
+    return SpacetimeModel.from_components(
+        "flat-variant", ("t", "x", "y", "z"),
+        {(0, 0): g_tt, (1, 1): "1", (2, 2): "1", (3, 3): "1"}, singular_loci=loci)
 
 
 def random_point_in(box, rng):
@@ -120,7 +129,7 @@ def certify_region_per_point(model, f, query):
             raise
         descriptor = hessian_signature(h, query.psd_tolerance)
         labels.add(descriptor.label)
-        if not descriptor.is_lorentzian:
+        if descriptor.label != "Lorentzian":
             lorentzian_everywhere = False
         interval = admissible_c_interval(h, metric_at.g, query.psd_tolerance,
                                          query.c_search_ceiling)
@@ -180,11 +189,10 @@ def null_expansions_by_eigenvectors(model, base_point):
         raise NotBlockForm("declared future direction is not timelike at this point")
     if float(u_hat @ gamma @ future) > 0.0:
         u_hat = -u_hat
-    radius_jet = ex.eval_jet1(bf.area_radius, base_names, values, params)
-    radius = radius_jet.value
+    radius, radius_gradient = ex.eval_jet1(bf.area_radius, base_names, values, params)
     if radius <= 0.0:
         raise OutOfDomain(f"area radius {radius!r} must be positive")
-    d_radius = np.array(radius_jet.gradient)
+    d_radius = np.array(radius_gradient)
     if float(s_hat @ d_radius) < 0.0:
         s_hat = -s_hat
     t_hat = future / math.sqrt(-float(future @ gamma @ future))

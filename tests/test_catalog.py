@@ -62,14 +62,14 @@ def test_unknown_field():
 
 def test_spherical_canonical_matches_cartesian():
     """Same scalar in both charts at a corresponding pair of points."""
-    from stconvex.expressions import eval_value
+    from stconvex.expressions import compile_value
     f_sph = CAT.field("canonical-spherical", alpha=0.3)
     f_cart = CAT.field("canonical", alpha=0.3)
     t, r = 1.2, 2.0
-    v_sph = eval_value(f_sph.ast, ("t", "r", "theta", "phi"), (t, r, 0.7, 0.4))
+    v_sph = compile_value(f_sph.ast, ("t", "r", "theta", "phi"))(t, r, 0.7, 0.4)
     x, y, z = (r * math.sin(0.7) * math.cos(0.4),
                r * math.sin(0.7) * math.sin(0.4), r * math.cos(0.7))
-    v_cart = eval_value(f_cart.ast, ("t", "x", "y", "z"), (t, x, y, z))
+    v_cart = compile_value(f_cart.ast, ("t", "x", "y", "z"))(t, x, y, z)
     assert v_sph == pytest.approx(v_cart, rel=1e-14)
 
 

@@ -11,11 +11,11 @@ from stconvex import (CInterval, ConvexityQuery, DomainError, NonLorentzianMetri
                       NullGradient, Point, SingularMetric, SpacetimeModel, ToolkitError,
                       UnknownSymbol, admissible_c_interval, builtin_models, canonical_field,
                       canonical_field_spherical, certify_region, covariant_hessian,
-                      gradient_invariant, hessian_signature)
+                      hessian_signature, level_set_frame)
 from stconvex.convexity import GRID_CHUNK, SignatureDescriptor, grid_points
 from stconvex.expressions import to_source
 
-from conftest import certify_region_per_point, random_lorentzian
+from conftest import certify_region_per_point, flat_chart, random_lorentzian
 
 CAT = builtin_models()
 MINK = CAT.model("minkowski-cartesian")
@@ -182,7 +182,6 @@ def test_interval_convexity_property(rng):
 def test_signature_lorentzian():
     descriptor = hessian_signature(ETA.copy())
     assert descriptor.label == "Lorentzian"
-    assert descriptor.is_lorentzian
     assert (descriptor.negative, descriptor.zero, descriptor.positive) == (1, 0, 3)
 
 
@@ -193,7 +192,6 @@ def test_signature_degenerate():
 def test_signature_riemannian():
     descriptor = hessian_signature(np.eye(4))
     assert descriptor.label == "Riemannian"
-    assert not descriptor.is_lorentzian
 
 
 def test_signature_indefinite():
@@ -466,7 +464,7 @@ def test_critical_points_do_not_affect_certificate():
     assert cert.verdict == "certified"
     assert cert.c_interval.lo == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(NullGradient):
-        gradient_invariant(f, MINK, Point((0.0, 0.0, 0.0, 0.0)))
+        level_set_frame(f, MINK, Point((0.0, 0.0, 0.0, 0.0)))
 
 
 def test_geometry_errors_carry_the_grid_point():
@@ -593,12 +591,6 @@ def test_domain_error_from_a_later_chunk_names_its_grid_point():
     assert grid_points(query).index(Point((2.0, -1.0, -1.0, -1.0))) // GRID_CHUNK == 8
 
 
-def _flat_chart(g_tt, loci=()):
-    return SpacetimeModel.from_components(
-        "flat-variant", ("t", "x", "y", "z"),
-        {(0, 0): g_tt, (1, 1): "1", (2, 2): "1", (3, 3): "1"}, singular_loci=loci)
-
-
 #: id -> (model, field text), each failing first at t = 2, the last t slab of
 #: a 6^4 grid over t in [-1, 2], 1080 points (eight chunks) in
 _LATER_CHUNK_ERRORS = {
@@ -610,9 +602,9 @@ _LATER_CHUNK_ERRORS = {
     "negative-to-the-0.5": (MINK, "(1.5 - t)^0.5 + 0.5*x^2"),
     "exp-overflow": (MINK, "exp(400*t) + 0.5*x^2"),
     "tan-at-its-pole": (MINK, "1e300*tan(0.7853981633974483*t) + 0.5*x^2"),
-    "locus-guard": (_flat_chart("-1", loci=("2 - t",)), "0.5*x^2"),
-    "condition-cap": (_flat_chart("-(2 - t)"), "0.5*x^2"),
-    "wrong-signature": (_flat_chart("t - 1.5"), "0.5*x^2"),
+    "locus-guard": (flat_chart("-1", loci=("2 - t",)), "0.5*x^2"),
+    "condition-cap": (flat_chart("-(2 - t)"), "0.5*x^2"),
+    "wrong-signature": (flat_chart("t - 1.5"), "0.5*x^2"),
 }
 
 

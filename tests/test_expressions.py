@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from stconvex.errors import DomainError, ParseError, UnknownSymbol
 from stconvex.expressions import (FUNCTIONS, BinOp, Call, Neg, Num, Sym, _cached_code,
                                   compile_jet1, compile_jet2, compile_value, eval_jet1,
-                                  eval_jet2, eval_value, parse, symbols_in, to_source)
+                                  eval_jet2, parse, symbols_in, to_source)
 
-from conftest import fd_gradient, fd_hessian
+from conftest import fd_gradient, fd_hessian, value_fn
 
 XY = ("x", "y")
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -204,7 +204,6 @@ def _compiled_jet2(ast, names, point):
 _EVALUATORS = {
     "eval_jet2": (2, eval_jet2),
     "eval_jet1": (1, eval_jet1),
-    "eval_value": (0, eval_value),
     "compile_jet1": (1, _compiled_jet1),
     "compile_value": (0, _compiled_value),
     "compile_jet2": (2, _compiled_jet2),
@@ -242,7 +241,7 @@ _DOMAIN_RULES = {
 def test_overflow_is_domain_error(rule, evaluator):
     """Every domain rule, float overflow, math domain errors and non-finite
     results included, raises a DomainError that names the expression in all
-    six evaluators, never a bare OverflowError or ValueError.
+    five evaluators, never a bare OverflowError or ValueError.
     A rule of the derivative leaves the value finite: abs(0) itself is 0."""
     text, names, point, message, lowest_order = _DOMAIN_RULES[rule]
     order, evaluate = _EVALUATORS[evaluator]
@@ -268,14 +267,14 @@ def test_negative_integer_power_at_zero_raises():
         eval_jet2(parse("x^-1", ("x",)), ("x",), (0.0,))
 
 
-@pytest.mark.parametrize("evaluate", [eval_jet2, eval_jet1, eval_value, _compiled_jet2,
-                                      _compiled_jet1, _compiled_value])
+@pytest.mark.parametrize("evaluate", [eval_jet2, eval_jet1, _compiled_jet2, _compiled_jet1,
+                                      _compiled_value])
 def test_infinite_literal_is_domain_error(evaluate):
     with pytest.raises(DomainError, match="non-finite result"):
         evaluate(parse("1e999*x", ("x",)), ("x",), (1.0,))
 
 
-@pytest.mark.parametrize("evaluate", [eval_jet2, eval_jet1, eval_value])
+@pytest.mark.parametrize("evaluate", [eval_jet2, eval_jet1])
 @pytest.mark.parametrize("values", [(3.0,), (3.0, 4.0, 5.0)], ids=["missing", "extra"])
 def test_coordinate_count_must_match_names(evaluate, values):
     with pytest.raises(ValueError, match="coordinate values for the 2 coordinates"):
@@ -298,9 +297,7 @@ def test_non_integer_constant_power_matches_finite_differences(text, parameters)
     ast = parse(text, XY + tuple(parameters or ()))
     point = (1.3, 0.7)
     jet = eval_jet2(ast, XY, point, parameters)
-
-    def fn(q):
-        return eval_value(ast, XY, tuple(q), parameters)
+    fn = value_fn(ast, XY, parameters)
 
     assert jet.value == pytest.approx(1.3 ** (parameters or {"a": 1.5})["a"] * 0.7, rel=1e-15)
     assert np.allclose(jet.gradient, _fd_reference(fd_gradient, fn, point), rtol=1e-9, atol=0)
@@ -373,10 +370,7 @@ def test_jets_match_finite_differences(ast, x, y):
     if abs(jet.value) > 1e4 or np.abs(jet.gradient).max() > 1e4 \
             or np.abs(jet.hessian).max() > 1e4:
         return
-
-    def fn(q):
-        return eval_value(ast, XY, tuple(q))
-
+    fn = value_fn(ast, XY)
     grad = _fd_reference(fd_gradient, fn, point)
     hess = _fd_reference(fd_hessian, fn, point)
     scale_g = 1.0 + np.abs(jet.gradient)
@@ -443,11 +437,10 @@ def test_compiled_jet1_matches_finite_differences(ast, x, y):
         return
     if not all(abs(v) <= 1e4 for v in (value, *gradient)):
         return
-    value_fn = compile_value(ast, XY)
-    jet = eval_jet1(ast, XY, point)
-    assert value_fn(*point) == value == jet.value
-    assert jet.gradient == gradient
-    fd = _fd_reference(fd_gradient, lambda q: value_fn(*q), point)
+    value_code = compile_value(ast, XY)
+    assert value_code(*point) == value
+    assert eval_jet1(ast, XY, point) == (value, gradient)
+    fd = _fd_reference(fd_gradient, lambda q: value_code(*q), point)
     assert (np.abs(np.array(gradient) - fd) / (1.0 + np.abs(fd))).max() < 1e-7
 
 
@@ -456,7 +449,7 @@ def test_compiled_jet1_matches_finite_differences(ast, x, y):
 def test_jet1_and_jet2_value_and_gradient_bit_identical(ast, x, y):
     point = (x, y)
     try:
-        j1 = eval_jet1(ast, XY, point)
+        value, gradient = eval_jet1(ast, XY, point)
     except DomainError:
         with pytest.raises(DomainError):
             eval_jet2(ast, XY, point)
@@ -467,8 +460,8 @@ def test_jet1_and_jet2_value_and_gradient_bit_identical(ast, x, y):
         # the Hessian entries are the only lines jet1 does not run
         assert "non-finite result" in str(exc)
         return
-    assert j2.value == j1.value
-    assert j2.gradient.tolist() == list(j1.gradient)
+    assert j2.value == value
+    assert j2.gradient.tolist() == list(gradient)
 
 
 #: coordinates at the edges of the functions' domains: zeros of both signs,
@@ -541,7 +534,7 @@ def test_compile_shares_the_evaluator_cache():
     assert compile_jet1(parse("1 - 2*M/r", ("r", "M")), ("r",), {"M": 1.0, "a": 5.0}) is first
     assert compile_jet1(ast, ("r",), {"M": 2.0}) is not first
     assert compile_value(ast, ("r",), {"M": 1.0}) is not first
-    assert eval_jet1(ast, ("r",), (4.0,), {"M": 1.0}).gradient == first(4.0)[1]
+    assert eval_jet1(ast, ("r",), (4.0,), {"M": 1.0})[1] == first(4.0)[1]
     info = _cached_code.cache_info()
     assert (info.misses, info.hits) == (3, 2)
 
@@ -657,7 +650,7 @@ def test_cached_hash_does_not_outlive_its_process():
 def test_compiled_code_cache_is_bounded():
     ast = parse("M*x", ("x", "M"))
     for k in range(1000):
-        assert eval_value(ast, ("x",), (2.0,), {"M": float(k)}) == 2.0 * k
+        assert compile_value(ast, ("x",), {"M": float(k)})(2.0) == 2.0 * k
     info = _cached_code.cache_info()
     assert info.currsize == info.maxsize
 
@@ -672,10 +665,10 @@ def test_compiled_parameters_inline():
 
 def test_jet1_matches_jet2_first_order():
     ast = parse("sin(x)*exp(y) + x/(1+y^2)", XY)
-    j1 = eval_jet1(ast, XY, (0.7, -0.4))
+    value, gradient = eval_jet1(ast, XY, (0.7, -0.4))
     j2 = eval_jet2(ast, XY, (0.7, -0.4))
-    assert j1.value == pytest.approx(j2.value, rel=1e-15)
-    assert np.allclose(j1.gradient, j2.gradient, rtol=1e-15)
+    assert value == pytest.approx(j2.value, rel=1e-15)
+    assert np.allclose(gradient, j2.gradient, rtol=1e-15)
 
 
 def test_abs_kink_rejected():

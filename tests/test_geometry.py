@@ -1,6 +1,7 @@
 """Metric evaluation, Christoffels, covariant Hessians, causal classification."""
 
 import gc
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from stconvex import (NullGradient, Point, SingularMetric, TangentVector, Unknow
                       VectorClass, WrongSignature, builtin_models,
                       canonical_field, canonical_field_spherical,
                       classify_vector, covariant_hessian, eval_metric,
-                      gradient_invariant)
+                      level_set_frame)
 from stconvex.expressions import eval_jet2
 from stconvex import DomainError, geometry
 from stconvex import expressions as ex
@@ -19,8 +20,8 @@ from stconvex.convexity import PSD_TOLERANCE
 from stconvex.geometry import SpacetimeModel, christoffels_from, geodesic_acceleration
 
 from conftest import (fd_christoffels, fd_gradient, fd_hessian,
-                      fd_metric_derivatives, random_lorentzian, random_point_in,
-                      spherical_to_cartesian, value_fn)
+                      fd_metric_derivatives, flat_chart, random_lorentzian,
+                      random_point_in, spherical_to_cartesian, value_fn)
 
 CAT = builtin_models()
 MINK = CAT.model("minkowski-cartesian")
@@ -355,20 +356,20 @@ def test_classify_requires_matching_base():
 
 def test_gradient_invariant_canonical():
     f = canonical_field(1.0)
-    eps, norm = gradient_invariant(f, MINK, Point((2.0, 0.0, 0.0, 0.0)))
-    assert eps == -1
-    assert norm == pytest.approx(2.0, abs=1e-15)
+    frame = level_set_frame(f, MINK, Point((2.0, 0.0, 0.0, 0.0)))
+    assert frame.epsilon == -1
+    assert frame.norm == pytest.approx(2.0, abs=1e-15)
 
 
 def test_gradient_invariant_spacelike():
-    eps, norm = gradient_invariant(MINK.field("x"), MINK, Point((0.0, 1.0, 0.0, 0.0)))
-    assert eps == 1
-    assert norm == pytest.approx(1.0, abs=1e-15)
+    frame = level_set_frame(MINK.field("x"), MINK, Point((0.0, 1.0, 0.0, 0.0)))
+    assert frame.epsilon == 1
+    assert frame.norm == pytest.approx(1.0, abs=1e-15)
 
 
 def test_gradient_invariant_null_raises():
     with pytest.raises(NullGradient):
-        gradient_invariant(MINK.field("t - x"), MINK, Point((0.0, 1.0, 0.0, 0.0)))
+        level_set_frame(MINK.field("t - x"), MINK, Point((0.0, 1.0, 0.0, 0.0)))
 
 
 def test_field_jet_matches_eval_jet2():
@@ -540,6 +541,57 @@ def test_stacked_entry_points_equal_single_points_to_the_bit(model):
                                (metric.christoffels, single.christoffels)):
             assert _bits(stacked[row]) == _bits(alone)
         assert _bits(hessians[row]) == _bits(covariant_hessian(f, model, point, metric_at=single))
+
+
+#: Riemannian wherever t > 1.5, so only an unchecked call accepts its points there
+_WRONG_SIGNATURE = flat_chart("t - 1.5")
+
+
+@pytest.mark.parametrize("model, box", [(model, model.sample_box) for model in ALL_MODELS]
+                         + [(_WRONG_SIGNATURE, ((1.6, 3.0), (-1.0, 1.0), (-1.0, 1.0),
+                                                (-1.0, 1.0)))],
+                         ids=[model.name for model in ALL_MODELS] + ["wrong-signature"])
+def test_unchecked_stacks_equal_unchecked_single_points_to_the_bit(model, box):
+    """metric_at(points, checks=False) gives each row's unchecked g, dg, g^-1
+    and Gamma, also where the checked call refuses the points."""
+    rng = np.random.default_rng(17001)
+    points = np.array([random_point_in(box, rng) for _ in range(60)])
+    evaluator = geometry.evaluator_for(model)
+    metric = evaluator.metric_at(points, checks=False)
+    for row, coords in enumerate(points):
+        single = evaluator.metric_at(Point(coords), checks=False)
+        for stacked, alone in ((metric.g, single.g), (metric.first_derivatives,
+                               single.first_derivatives), (metric.g_inverse, single.g_inverse),
+                               (metric.christoffels, single.christoffels)):
+            assert _bits(stacked[row]) == _bits(alone)
+    if model is _WRONG_SIGNATURE:
+        with pytest.raises(WrongSignature):
+            evaluator.metric_at(points)
+
+
+def test_only_a_two_dimensional_array_is_a_stack():
+    """A 1-D coordinate array is refused, not read as a stack of d rows."""
+    coords = np.array([1.3, 0.8, 1.1, 0.4])
+    evaluator = geometry.evaluator_for(MILNE)
+    for array in (coords, coords.reshape(1, 1, 4)):
+        with pytest.raises(ValueError, match=re.escape(f"not {array.shape}")):
+            evaluator.metric_at(array)
+    with pytest.raises(ValueError, match=re.escape("not (4,)")):
+        covariant_hessian(MILNE.field("tau^2"), MILNE, coords)
+
+
+def test_a_singular_row_of_an_unchecked_stack_raises_its_own_error():
+    """The stacked connection names the first singular row as that point
+    alone does, not the whole coordinate array."""
+    points = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
+    evaluator = geometry.evaluator_for(flat_chart("-(2 - t)"))
+    with pytest.raises(SingularMetric) as alone:
+        evaluator.metric_at(Point(points[2]), checks=False).christoffels
+    assert str(alone.value) == "metric is singular at (2.0, 0.0, 0.0, 0.0)"
+    for read in ("christoffels", "g_inverse"):
+        with pytest.raises(SingularMetric) as stacked:
+            getattr(evaluator.metric_at(points, checks=False), read)
+        assert str(stacked.value) == str(alone.value)
 
 
 def test_stacked_calls_check_the_width_as_single_points_do():
