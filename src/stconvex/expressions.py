@@ -21,14 +21,14 @@ are dimensionless (geometric units throughout).
 
 There is one evaluator: `_CodeGen` emits straight-line Python for the value,
 the gradient and the upper triangle of the Hessian, mirrored so that the
-Hessian is symmetric to the bit. Parameters bind as constants when the code
-is compiled. All five entry points (`compile_value`, `compile_jet1`,
-`compile_jet2`, `eval_jet2`, and `eval_jet1`, which returns the compiled
-(value, gradient) pair) take that code from one bounded LRU cache keyed by
-the order, the AST or fused set (a tuple of ASTs compiled to one function
-that returns one flat tuple), the coordinate names and the values of the
-parameters referenced. Each AST node computes its hash and its symbol set
-once, on first use, so a key costs O(1).
+Hessian is symmetric to the bit. All five entry points (`compile_value`,
+`compile_jet1`, `compile_jet2`, `eval_jet2`, and `eval_jet1`, which returns
+the compiled (value, gradient) pair) take that code from one bounded LRU
+cache keyed by the order, the AST or fused set (a tuple of ASTs compiled to
+one function that returns one flat tuple), the coordinate names and the
+parameter names. The code takes the parameter values as arguments, before
+the coordinates, so a chart compiles once whatever its values; `compile_*`
+bind them. Each AST node computes its hash once, on first use.
 The emitted code alone keeps one contract for every entry point: all outputs
 are finite, or the call raises a DomainError naming the expression (in a
 fused set, the member that failed) and the point.
@@ -490,7 +490,7 @@ _COMPILE_GLOBALS = {
     "__builtins__": {},
     "math": math,
     "abs": abs,
-    "inf": math.inf,  # repr of an infinite literal or parameter
+    "inf": math.inf,  # repr of an infinite literal
     "nan": math.nan,
     "_pow_vd": _pow_vd,
     "_sign_nonzero": _sign_nonzero,
@@ -536,16 +536,16 @@ _CODEGEN_CALLS = {
 class _CodeGen:
     """Emit unrolled forward-mode code of order 0, 1 or 2 for one expression.
 
-    emit returns (value, gradient, hessian): a temp name or literal, one
+    emit returns (value, gradient, hessian): a temp, parameter or literal, one
     expression per coordinate, and a dict over the upper triangle (i <= j)
     of the Hessian; None and a missing key are exact zeros. Order 0 seeds no
     derivatives and order 1 emits no Hessian entries, so the value and
     gradient lines are the same at every order.
     """
 
-    def __init__(self, coord_names, parameters, order):
+    def __init__(self, coord_names, parameter_names, order):
         self.coords = tuple(coord_names)
-        self.params = {k: float(v) for k, v in (parameters or {}).items()}
+        self.params = tuple(parameter_names)
         self.order = order
         self.lines = []
         self.counter = 0
@@ -569,7 +569,7 @@ class _CodeGen:
             return repr(node.value), [None] * n, {}
         if isinstance(node, Sym):
             if node.name in self.params:
-                return repr(self.params[node.name]), [None] * n, {}
+                return f"p{self.params.index(node.name)}", [None] * n, {}
             if node.name not in self.coords:
                 raise UnknownSymbol(node.name)
             i = self.coords.index(node.name)
@@ -701,15 +701,16 @@ class _CodeGen:
         return ([val], gradient, hessian)[:self.order + 1]
 
     def define(self, ast, result, filename, culprit="_ast", namespace=_COMPILE_GLOBALS):
-        """Compile the emitted lines into _fn(x0, ...) -> result; one try block
-        turns a DomainError, an overflow, a math domain error or a division by
-        an underflowed square anywhere in them into a DomainError naming the
-        expression (the code `culprit`, evaluated over `_ast`) and the point.
+        """Compile the emitted lines into _fn(p0, ..., x0, ...) -> result; one
+        try block turns a DomainError, an overflow, a math domain error or a
+        division by an underflowed square anywhere in them into a DomainError
+        naming the expression (the code `culprit`, over `_ast`) and the point.
         The helpers come from namespace."""
         args = ", ".join(f"x{i}" for i in range(len(self.coords)))
         point = f"({args}{',' if self.coords else ''})"
         body = "".join(line + "\n" for line in self.lines) or "        pass\n"
-        src = (f"def _fn({args}):\n    try:\n{body}"
+        params = "".join(f"p{i}, " for i in range(len(self.params)))
+        src = (f"def _fn({params}{args}):\n    try:\n{body}"
                "    except (DomainError, ArithmeticError, ValueError) as exc:\n"
                f"        raise _wrap_domain(exc, {culprit}, {point}) from None\n"
                f"    return {result}\n")
@@ -722,16 +723,16 @@ def _tuple_source(items):
     return "(" + "".join(item + ", " for item in items) + ")"
 
 
-def _compile(ast, coordinate_names, parameters, order, stacked=False):
-    """fn(*coords) -> value (order 0), (value, gradient) (order 1) or
-    (value, gradient, row-major Hessian) (order 2), as plain float tuples. A
-    fused set returns one flat tuple: each expression's value, then its
+def _compile(ast, coordinate_names, parameter_names, order, stacked=False):
+    """fn(*parameters, *coords) -> value (order 0), (value, gradient) (order 1)
+    or (value, gradient, row-major Hessian) (order 2), as plain float tuples.
+    A fused set returns one flat tuple: each expression's value, then its
     gradient (order >= 1), then its row-major Hessian (order 2), in order.
 
     The stacked variant, of a fused set, is the same code without the
     finiteness lines, run in the array namespace on (N,) coordinate arrays;
     each item of its flat tuple is an (N,) array or a float."""
-    gen = _CodeGen(coordinate_names, parameters, order)
+    gen = _CodeGen(coordinate_names, parameter_names, order)
     if isinstance(ast, tuple):
         flat = []
         for k, node in enumerate(ast):
@@ -745,34 +746,28 @@ def _compile(ast, coordinate_names, parameters, order, stacked=False):
 
 
 @functools.lru_cache(maxsize=256)
-def _cached_code(order, ast, names, bound, stacked=False):
-    return _compile(ast, names, dict(bound), order, stacked)
+def _cached_code(order, ast, names, parameter_names, stacked=False):
+    return _compile(ast, names, parameter_names, order, stacked)
 
 
 def _code(order, ast, coordinate_names, parameters, stacked=False):
-    """Compiled code of the expression or fused set from one bounded LRU
-    cache, keyed by the order, the AST, the coordinate names and the values
-    of the parameters the AST references, so equal expressions share code
-    however often they are re-parsed and whichever entry point asks. The
-    stacked variant has its own key, and is compiled on its first use."""
-    bound = ()
-    if parameters:
-        refs = frozenset().union(*map(symbols_in, ast)) if isinstance(ast, tuple) \
-            else symbols_in(ast)
-        bound = tuple((k, float(v)) for k, v in parameters.items() if k in refs)
-    if stacked:
-        return _cached_code(order, ast, tuple(coordinate_names), bound, True)
-    return _cached_code(order, ast, tuple(coordinate_names), bound)
+    """Compiled code of the expression or fused set, bound to the parameter
+    values, from one bounded LRU cache keyed by the order, the AST, the
+    coordinate names and the parameter names, so equal expressions share code
+    however often they are re-parsed, whichever entry point asks and whatever
+    the values. The stacked variant has its own key, compiled on first use."""
+    fn = _cached_code(order, ast, tuple(coordinate_names), tuple(parameters or ()), stacked)
+    return functools.partial(fn, *map(float, parameters.values())) if parameters else fn
 
 
 def compile_value(ast, coordinate_names, parameters=None):
-    """fn(*coords) -> value; for a fused set, their values. Parameters bind now."""
+    """fn(*coords) -> value; for a fused set, their values. Parameter values bind now."""
     return _code(0, ast, coordinate_names, parameters)
 
 
 def compile_jet1(ast, coordinate_names, parameters=None):
     """fn(*coords) -> (value, gradient tuple); for a fused set, each one's
-    value and gradient, flat, in order. Parameters bind now."""
+    value and gradient, flat, in order. The parameter values bind now."""
     return _code(1, ast, coordinate_names, parameters)
 
 
@@ -787,12 +782,13 @@ def _width_error(width, names):
 
 
 def _run(order, ast, coordinate_names, coordinate_values, parameters):
-    """Result of the compiled code at the point."""
+    """Result of the compiled code at the point, given the parameter values."""
     names = tuple(coordinate_names)
     values = tuple(float(v) for v in coordinate_values)
     if len(values) != len(names):
         raise _width_error(len(values), names)
-    return _code(order, ast, names, parameters)(*values)
+    fn = _cached_code(order, ast, names, tuple(parameters or ()), False)
+    return fn(*map(float, parameters.values()), *values) if parameters else fn(*values)
 
 
 def eval_block(order, fused, coordinate_names, points, parameters=None) -> np.ndarray:
@@ -832,15 +828,17 @@ def eval_jet2(ast, coordinate_names, coordinate_values, parameters=None) -> Jet2
     """Value, gradient, and Hessian of an expression at a point.
 
     Coordinates are seeded as jet variables in the given order; parameters
-    bind as constants. Raises DomainError (with the expression attached) if
+    are constants. Raises DomainError (with the expression attached) if
     the point is outside a function's domain or a result is not finite.
 
     An (N, d) array of points gives stacks, value (N,), gradient (N, d) and
     Hessian (N, d, d), from one stacked evaluation; each row equals the
     point's own jet to the bit, and a failure raises the error of the first
-    failing point's own call.
+    failing point's own call. An array of any other shape is refused.
     """
-    if isinstance(coordinate_values, np.ndarray) and coordinate_values.ndim == 2:
+    if isinstance(coordinate_values, np.ndarray):
+        if coordinate_values.ndim != 2:
+            raise ValueError(f"a coordinate array must be (N, d), not {coordinate_values.shape}")
         return _stacked_jet2(ast, coordinate_names, coordinate_values, parameters)
     value, gradient, hessian = _run(2, ast, coordinate_names, coordinate_values, parameters)
     n = len(gradient)

@@ -14,10 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stconvex import builtin_models
 from stconvex.errors import DomainError, ParseError, UnknownSymbol
 from stconvex.expressions import (FUNCTIONS, BinOp, Call, Neg, Num, Sym, _cached_code,
-                                  compile_jet1, compile_jet2, compile_value, eval_jet1,
-                                  eval_jet2, parse, symbols_in, to_source)
+                                  compile_jet1, compile_jet2, compile_value, eval_block,
+                                  eval_jet1, eval_jet2, parse, symbols_in, to_source)
 
 from conftest import fd_gradient, fd_hessian, value_fn
 
@@ -526,14 +527,16 @@ def test_equal_asts_share_compiled_code():
 
 
 def test_compile_shares_the_evaluator_cache():
-    """compile_jet1 and compile_value take their code from the same cache:
-    a second model with equal components reuses the first one's closures."""
+    """compile_jet1 and compile_value take their code from the same cache,
+    keyed by the parameter names: a second model with equal components and
+    another mass reuses the first one's code, bound to its own values."""
     _cached_code.cache_clear()
     ast = parse("1 - 2*M/r", ("r", "M"))
     first = compile_jet1(ast, ("r",), {"M": 1.0, "a": 0.0})
-    assert compile_jet1(parse("1 - 2*M/r", ("r", "M")), ("r",), {"M": 1.0, "a": 5.0}) is first
-    assert compile_jet1(ast, ("r",), {"M": 2.0}) is not first
-    assert compile_value(ast, ("r",), {"M": 1.0}) is not first
+    second = compile_jet1(parse("1 - 2*M/r", ("r", "M")), ("r",), {"M": 2.0, "a": 5.0})
+    assert (first(4.0), second(4.0)) == ((0.5, (0.125,)), (0.0, (0.25,)))
+    compile_jet1(ast, ("r",), {"M": 2.0})
+    compile_value(ast, ("r",), {"M": 1.0})
     assert eval_jet1(ast, ("r",), (4.0,), {"M": 1.0})[1] == first(4.0)[1]
     info = _cached_code.cache_info()
     assert (info.misses, info.hits) == (3, 2)
@@ -553,7 +556,9 @@ def test_fused_jets_bit_identical_and_name_the_failing_expression():
         assert flat[3 * k:3 * k + 3] == (value, *gradient)
     with pytest.raises(DomainError, match=r"'log\(y\)' at \(0\.7, -1\.0\)"):
         fused(0.7, -1.0)
-    assert compile_jet1(tuple(parse(t, ("x", "y", "M")) for t in texts), XY, {"M": 0.5}) is fused
+    misses = _cached_code.cache_info().misses
+    reparsed = compile_jet1(tuple(parse(t, ("x", "y", "M")) for t in texts), XY, {"M": 0.5})
+    assert reparsed(0.7, 1.3) == flat and _cached_code.cache_info().misses == misses
 
 
 _FUSED_TEXTS = ("x*sin(y) + M", "2", "y^3/(1 + x^2)", "exp(x*y)", "x")
@@ -599,12 +604,15 @@ _CACHED_NAMES = ("r", "theta", "M")
 def test_reparsed_nodes_hash_equal_and_share_code():
     """Each node caches its hash on first use; equal re-parses still hash
     equal and share one compiled function, and values still distinguish."""
+    _cached_code.cache_clear()
     first = parse(_CACHED_TEXT, _CACHED_NAMES)
     hash(first)
     second = parse(_CACHED_TEXT, _CACHED_NAMES)
     assert first == second and hash(first) == hash(second)
-    assert compile_jet1(first, ("r", "theta"), {"M": 1.0}) is \
-        compile_jet1(second, ("r", "theta"), {"M": 1.0})
+    assert compile_jet1(first, ("r", "theta"), {"M": 1.0})(3.0, 0.5) == \
+        compile_jet1(second, ("r", "theta"), {"M": 1.0})(3.0, 0.5)
+    info = _cached_code.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
     assert Num(1.0) != Num(2.0)
     assert symbols_in(first) == {"r", "theta", "M"}
     assert symbols_in(first) is symbols_in(first)
@@ -648,19 +656,55 @@ def test_cached_hash_does_not_outlive_its_process():
 
 
 def test_compiled_code_cache_is_bounded():
-    ast = parse("M*x", ("x", "M"))
     for k in range(1000):
-        assert compile_value(ast, ("x",), {"M": float(k)})(2.0) == 2.0 * k
+        ast = parse(f"M*x + {k}", ("x", "M"))
+        assert compile_value(ast, ("x",), {"M": 0.5})(2.0) == 1.0 + k
     info = _cached_code.cache_info()
     assert info.currsize == info.maxsize
 
 
-def test_compiled_parameters_inline():
+def test_compiled_parameters_bind_as_arguments():
+    """The shared code takes the parameter values before the coordinates,
+    and compile_jet1 returns it bound to the values it was given."""
     ast = parse("2*M/r", ("r", "M"))
     fn = compile_jet1(ast, ("r",), {"M": 1.5})
     value, gradient = fn(2.0)
     assert value == 1.5
     assert gradient[0] == pytest.approx(-0.75)
+    assert fn.func(3.0, 2.0) == compile_jet1(ast, ("r",), {"M": 3.0})(2.0) == (3.0, (-1.5,))
+
+
+def _flat_bits(result):
+    """float.hex of every float in a nested tuple, so that -0.0 is not 0.0."""
+    if isinstance(result, tuple):
+        return [bits for item in result for bits in _flat_bits(item)]
+    return [float(result).hex()]
+
+
+@pytest.mark.parametrize("seed", [1801, 1802, 1803])
+@pytest.mark.parametrize("chart", ["schwarzschild-exterior", "schwarzschild-interior"])
+def test_parameters_as_arguments_equal_substituted_literals(chart, seed):
+    """Code that takes M as an argument gives, to the bit, what the same text
+    with repr(M) written in for M gives: CPython folds literal arithmetic
+    with the IEEE result that it computes at run time."""
+    model = builtin_models().model(chart)
+    names, d = model.coordinate_names, model.dimension
+    rng = np.random.default_rng(seed)
+    m = float(rng.uniform(0.5, 2.0))
+    asts = tuple(dict.fromkeys(model.components[i][j] for i in range(d) for j in range(i, d)))
+    asts += model.singular_loci
+    literal = tuple(parse(re.sub(r"\bM\b", repr(m), to_source(a)), names) for a in asts)
+    lo, hi = np.array(model.sample_box).T
+    points = lo + (hi - lo) * rng.random((16, d))
+    points[:, 1] *= m  # the box is for M = 1
+    for compile_fn in (compile_value, compile_jet1, compile_jet2):
+        for ast, written in zip(asts + (asts,), literal + (literal,)):
+            with_m, with_repr = compile_fn(ast, names, {"M": m}), compile_fn(written, names)
+            for point in points.tolist():
+                assert _flat_bits(with_m(*point)) == _flat_bits(with_repr(*point))
+    for order in (0, 1, 2):
+        assert eval_block(order, asts, names, points, {"M": m}).tobytes() == \
+            eval_block(order, literal, names, points).tobytes()
 
 
 def test_jet1_matches_jet2_first_order():

@@ -11,7 +11,7 @@ from stconvex import (NullGradient, Point, SingularMetric, TangentVector, Unknow
                       VectorClass, WrongSignature, builtin_models,
                       canonical_field, canonical_field_spherical,
                       classify_vector, covariant_hessian, eval_metric,
-                      level_set_frame)
+                      level_set_frame, null_expansions)
 from stconvex.expressions import eval_jet2
 from stconvex import DomainError, geometry
 from stconvex import expressions as ex
@@ -611,6 +611,49 @@ def test_stacked_calls_check_the_width_as_single_points_do():
         assert str(from_stack.value) == str(from_point.value)
 
 
+@pytest.mark.parametrize("shape", [(1, 2, 4), (), (4,)])
+def test_field_jets_refuse_an_array_that_is_not_n_by_d(shape):
+    """eval_jet2 and field_jet apply metric_at's rule to a coordinate array:
+    only an (N, d) array is a stack, and any other shape is refused by name."""
+    f = MILNE.field("tau*cosh(chi)")
+    points = np.full(shape, 1.0)
+    with pytest.raises(ValueError) as refused:
+        geometry.evaluator_for(MILNE).metric_at(points)
+    assert str(refused.value) == f"a coordinate array must be (N, d), not {shape}"
+    for call in (lambda: eval_jet2(f.ast, MILNE.coordinate_names, points),
+                 lambda: geometry.field_jet(f, MILNE, points)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == str(refused.value)
+
+
+def test_a_parameter_sweep_compiles_nothing_new(monkeypatch):
+    """Fifty interior charts with distinct masses share one compile per
+    code: after the first, no evaluator, single or stacked metric, null
+    expansion or field jet compiles anything."""
+    compiled = []
+    original = ex._compile
+
+    def recording(*args):
+        compiled.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ex, "_compile", recording)
+    ex._cached_code.cache_clear()
+    for k, m in enumerate(np.random.default_rng(1804).uniform(0.5, 2.0, 50).tolist()):
+        model = CAT.model("schwarzschild-interior", M=m)
+        point = (0.1, 0.6 * m, 1.0, 2.0)
+        evaluator = geometry.evaluator_for(model)
+        evaluator.metric_at(Point(point))
+        evaluator.metric_at(np.array([point, (-0.3, 1.4 * m, 1.5, 3.0)]))
+        null_expansions(model, point[:2])
+        eval_jet2(model.field("r").ast, model.coordinate_names, point, model.parameters)
+        if k == 0:
+            assert compiled
+            compiled.clear()
+    assert compiled == []
+
+
 def test_stacked_code_compiles_on_the_first_stacked_call_only(monkeypatch):
     """An evaluator's construction and single-point calls compile no stacked
     code; the first stacked call compiles the loci, the components and the
@@ -618,12 +661,13 @@ def test_stacked_code_compiles_on_the_first_stacked_call_only(monkeypatch):
     compiled = []
     original = ex._compile
 
-    def recording(ast, names, parameters, order, stacked=False):
+    def recording(ast, names, parameter_names, order, stacked=False):
         compiled.append(stacked)
-        return original(ast, names, parameters, order, stacked)
+        return original(ast, names, parameter_names, order, stacked)
 
     monkeypatch.setattr(ex, "_compile", recording)
-    model = SCHW.with_parameters(M=0.8765)  # a mass no other test compiles
+    ex._cached_code.cache_clear()
+    model = SCHW.with_parameters(M=0.8765)
     f = model.field("r^2*sin(theta) - 0.8765*t^2")
     point = Point((0.1, 4.0, 1.0, 2.0))
     evaluator = geometry.evaluator_for(model)
