@@ -25,11 +25,13 @@ without changing the certificate. This implementation takes the grid in
 row-major chunks of GRID_CHUNK points. For each chunk it makes one stacked
 `metric_at` call and one stacked `covariant_hessian` call (the emitted
 expression code run on coordinate arrays), and runs the signature and
-interval oracle once, as array code over the stacked matrices; the
-reduction then visits the chunk's points in grid order, which fixes the
-witness deterministically. Every stacked call computes each row as a
-single-point call would, to the bit, so the certificate does not depend on
-the chunk. When a stacked evaluation raises, the chunk is evaluated again
+interval oracle once, as array code over the stacked matrices, which
+returns count and endpoint arrays. The reduction folds the chunk as arrays
+too: the running interval after each point is an accumulated max of lo and
+min of hi, and the first point in grid order that empties it is the
+witness, which fixes it deterministically. Every stacked call computes each
+row as a single-point call would, to the bit, so the certificate does not
+depend on the chunk. When a stacked evaluation raises, the chunk is evaluated again
 point by point, so the error is the one the first failing point raises,
 named with its grid point.
 """
@@ -76,18 +78,19 @@ class SignatureDescriptor:
 
 
 def hessian_signature(h: np.ndarray, tol: float = PSD_TOLERANCE
-                      ) -> SignatureDescriptor | list[SignatureDescriptor]:
+                      ) -> SignatureDescriptor | tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sign counts of H's eigenvalues, zero meaning |lambda| <= tol * max |lambda|.
 
     H is one (d, d) matrix, giving one descriptor, or an (N, d, d) stack,
-    giving a list of N descriptors from one stacked eigvalsh call; a single
-    matrix is the N = 1 case of the same computation. ValueError is raised
-    for a tol that is not finite and >= 0.
+    giving the (negative, zero, positive) count arrays, each (N,), from one
+    stacked eigvalsh call; a single matrix is the N = 1 case of the same
+    computation. ValueError is raised for a tol that is not finite and >= 0.
     """
     _check_oracle_settings(tol)
     counts = _sign_counts(np.linalg.eigvalsh(_as_stack(h)), tol)
-    descriptors = [SignatureDescriptor(*row) for row in zip(*(c.tolist() for c in counts))]
-    return descriptors if np.ndim(h) == 3 else descriptors[0]
+    if np.ndim(h) == 3:
+        return counts
+    return SignatureDescriptor(*(int(c[0]) for c in counts))
 
 
 def _check_oracle_settings(tol, ceiling=C_SEARCH_CEILING):
@@ -127,7 +130,7 @@ class CInterval:
 
 def admissible_c_interval(h: np.ndarray, g: np.ndarray, tol: float = PSD_TOLERANCE,
                           ceiling: float = C_SEARCH_CEILING
-                          ) -> CInterval | None | list[CInterval | None]:
+                          ) -> CInterval | None | tuple[np.ndarray, np.ndarray]:
     """The interval {c in (0, ceiling] : H - cG is PSD}, or None when empty.
 
     H - cG passes when its smallest eigenvalue is >= -tol (||H|| + c ||G||),
@@ -142,11 +145,12 @@ def admissible_c_interval(h: np.ndarray, g: np.ndarray, tol: float = PSD_TOLERAN
     is not finite and >= 0 or a ceiling that is not finite and > 0.
 
     H and G are (d, d) matrices, giving one result, or (N, d, d) stacks of
-    N pencils, giving a list of N results; each numpy.linalg routine then
+    N pencils, giving the (N,) arrays (lo, hi), NaN where the interval is
+    empty (ceiling_hit is then hi == ceiling); each numpy.linalg routine
     runs once for the whole stack, and a single pencil is the N = 1 case.
-    Every row is computed as it would be alone, so a stack's results equal
-    the per-pencil results exactly. NonLorentzianMetric is raised when any
-    row's G is not Lorentzian.
+    Every row is computed as it would be alone, so a stack's rows equal the
+    per-pencil results exactly. NonLorentzianMetric is raised when any row's
+    G is not Lorentzian.
     """
     _check_oracle_settings(tol, ceiling)
     hs, gs = _as_stack(h), _as_stack(g)
@@ -175,9 +179,10 @@ def admissible_c_interval(h: np.ndarray, g: np.ndarray, tol: float = PSD_TOLERAN
     lo = np.where(feasible, cs, math.inf).min(axis=1)
     hi = np.where(feasible, cs, -math.inf).max(axis=1)  # -inf: none feasible
     empty = hi <= ENDPOINT_RESOLUTION * scales
-    intervals = [None if e else CInterval(a, b, b == ceiling)
-                 for e, a, b in zip(empty.tolist(), lo.tolist(), hi.tolist())]
-    return intervals if np.ndim(h) == 3 else intervals[0]
+    lo, hi = np.where(empty, math.nan, lo), np.where(empty, math.nan, hi)
+    if np.ndim(h) == 3:
+        return lo, hi
+    return None if empty[0] else CInterval(lo[0].item(), hi[0].item(), hi[0].item() == ceiling)
 
 
 @dataclass(frozen=True)
@@ -200,6 +205,9 @@ class ConvexityQuery:
         for axis, (lo, hi) in enumerate(self.region):
             if not lo < hi:
                 raise ValueError(f"region axis {axis}: lo = {lo!r} is not below hi = {hi!r}")
+            if not math.isfinite(float(hi) - float(lo)):  # inf, or a width past the float range
+                raise ValueError(f"region axis {axis}: ({lo!r}, {hi!r}) does not have a "
+                                 f"finite width")
 
 
 @dataclass(frozen=True)
@@ -269,6 +277,24 @@ def _point_by_point(evaluator, model, f, coords):
     return np.array(hs), np.array(gs)
 
 
+def _intersect_rows(running: CInterval, lo, hi, ceiling):
+    """(running.intersect of each row's interval in turn, None at the first
+    row that empties it; that row's index, or None). The rows are the (lo,
+    hi) arrays of admissible_c_interval, NaN for an empty row, each row's
+    ceiling_hit being hi == ceiling. Intersection takes a max of lo and a
+    min of hi, so the running interval after each row is an accumulated
+    max and min; once no row empties it, the result is running intersected
+    with the interval of the rows' max lo and min hi."""
+    lo_run = np.maximum(running.lo, np.maximum.accumulate(lo))
+    hi_run = np.minimum(running.hi, np.minimum.accumulate(hi))
+    failed = np.isnan(lo) | (lo_run - hi_run > ENDPOINT_RESOLUTION
+                             * np.maximum(np.abs(lo_run), np.abs(hi_run)))
+    if failed.any():
+        return None, int(failed.argmax())
+    kept_hi = hi_run[-1].item()
+    return running.intersect(CInterval(lo_run[-1].item(), kept_hi, kept_hi == ceiling)), None
+
+
 def certify_region(model: SpacetimeModel, f: ScalarField,
                    query: ConvexityQuery) -> ConvexityCertificate:
     """Grid scan of the pointwise condition plus the Hessian-signature clause."""
@@ -285,17 +311,21 @@ def certify_region(model: SpacetimeModel, f: ScalarField,
             hs, gs = covariant_hessian(f, model, coords, metric_at=metric_at), metric_at.g
         except ToolkitError:
             hs, gs = _point_by_point(evaluator, model, f, coords)
-        descriptors = hessian_signature(hs, query.psd_tolerance)
-        intervals = admissible_c_interval(hs, gs, query.psd_tolerance, query.c_search_ceiling)
-        labels.update(descriptor.label for descriptor in descriptors)
-        for row, interval in enumerate(intervals):
-            if interval is not None:
-                lo_min, lo_max = min(lo_min, interval.lo), max(lo_max, interval.lo)
-                hi_min, hi_max = min(hi_min, interval.hi), max(hi_max, interval.hi)
-            if running is not None:
-                running = interval if interval is None else running.intersect(interval)
-                if running is None:
-                    witness = Point(coords[row])
+        negative, zero, positive = hessian_signature(hs, query.psd_tolerance)
+        lo, hi = admissible_c_interval(hs, gs, query.psd_tolerance, query.c_search_ceiling)
+        rows = set(zip(negative.tolist(), zero.tolist(), positive.tolist()))
+        labels.update(SignatureDescriptor(*row).label for row in rows)
+        kept = ~np.isnan(lo)
+        if kept.any():
+            # min and max of Python lists keep the first of equal values, as
+            # a left fold does, so 0.0 and -0.0 come out as the fold's
+            los, his = lo[kept].tolist(), hi[kept].tolist()
+            lo_min, lo_max = min(lo_min, min(los)), max(lo_max, max(los))
+            hi_min, hi_max = min(hi_min, min(his)), max(hi_max, max(his))
+        if running is not None:
+            running, row = _intersect_rows(running, lo, hi, query.c_search_ceiling)
+            if running is None:
+                witness = Point(coords[row])
     if lo_min > lo_max:  # no point had an interval
         lo_min = lo_max = hi_min = hi_max = math.nan
     stats = PerPointStats(samples=query.samples_per_axis ** model.dimension, c_lo_min=lo_min,

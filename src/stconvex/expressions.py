@@ -28,7 +28,12 @@ cache keyed by the order, the AST or fused set (a tuple of ASTs compiled to
 one function that returns one flat tuple), the coordinate names and the
 parameter names. The code takes the parameter values as arguments, before
 the coordinates, so a chart compiles once whatever its values; `compile_*`
-bind them. Each AST node computes its hash once, on first use.
+bind them. It is compiled for the expression's shape, the AST with its
+literals numbered rather than written, and each AST binds its own literal
+values and itself (for its error messages) to the shape's code, so a field
+that differs from a compiled one only in its numbers compiles nothing; the
+values are those CPython folded when it compiled the literals in. Each AST
+node computes its hash once, on first use.
 The emitted code alone keeps one contract for every entry point: all outputs
 are finite, or the call raises a DomainError naming the expression (in a
 fused set, the member that failed) and the point.
@@ -76,9 +81,18 @@ class _Node:
         return cached
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Num(_Node):
+    """A literal. Equality tells 0.0 from -0.0, which compare equal as
+    floats, so that a cache keyed by the AST never hands one the other's code."""
+
     value: float
+
+    def __eq__(self, other):
+        if other.__class__ is not Num:
+            return NotImplemented
+        return (self.value == other.value
+                and math.copysign(1.0, self.value) == math.copysign(1.0, other.value))
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,8 +118,16 @@ class Call(_Node):
     arg: "Expr"
 
 
+@dataclass(frozen=True, slots=True)
+class _Literal(_Node):
+    """Placeholder of an expression shape: the index-th literal, in pre-order,
+    which the shape's code reads as the argument c{index}."""
+
+    index: int
+
+
 # dataclass would give each class a field-tuple hash that walks the tree
-for _cls in (Num, Sym, Neg, BinOp, Call):
+for _cls in (Num, Sym, Neg, BinOp, Call, _Literal):
     _cls.__hash__ = _Node.__hash__
 
 Expr = Num | Sym | Neg | BinOp | Call
@@ -536,11 +558,14 @@ _CODEGEN_CALLS = {
 class _CodeGen:
     """Emit unrolled forward-mode code of order 0, 1 or 2 for one expression.
 
-    emit returns (value, gradient, hessian): a temp, parameter or literal, one
+    The expression is a shape (`_shape`): its literals are placeholders,
+    read as the arguments c0, c1, ... of the code. emit returns (value,
+    gradient, hessian): a temp, parameter or literal argument, one
     expression per coordinate, and a dict over the upper triangle (i <= j)
     of the Hessian; None and a missing key are exact zeros. Order 0 seeds no
     derivatives and order 1 emits no Hessian entries, so the value and
-    gradient lines are the same at every order.
+    gradient lines are the same at every order. No line depends on a
+    literal's value, so every AST of one shape gets the same code.
     """
 
     def __init__(self, coord_names, parameter_names, order):
@@ -549,6 +574,7 @@ class _CodeGen:
         self.order = order
         self.lines = []
         self.counter = 0
+        self.literals = 0
 
     def temp(self, expr):
         name = f"v{self.counter}"
@@ -565,8 +591,9 @@ class _CodeGen:
 
     def emit(self, node):
         n = len(self.coords)
-        if isinstance(node, Num):
-            return repr(node.value), [None] * n, {}
+        if isinstance(node, _Literal):
+            self.literals = max(self.literals, node.index + 1)
+            return f"c{node.index}", [None] * n, {}
         if isinstance(node, Sym):
             if node.name in self.params:
                 return f"p{self.params.index(node.name)}", [None] * n, {}
@@ -700,62 +727,96 @@ class _CodeGen:
                    for i in range(len(ds)) for j in range(len(ds))] if self.order == 2 else []
         return ([val], gradient, hessian)[:self.order + 1]
 
-    def define(self, ast, result, filename, culprit="_ast", namespace=_COMPILE_GLOBALS):
-        """Compile the emitted lines into _fn(p0, ..., x0, ...) -> result; one
-        try block turns a DomainError, an overflow, a math domain error or a
-        division by an underflowed square anywhere in them into a DomainError
-        naming the expression (the code `culprit`, over `_ast`) and the point.
-        The helpers come from namespace."""
+    def define(self, result, filename, culprit="_ast", namespace=_COMPILE_GLOBALS):
+        """Compile the emitted lines into a factory _make(_ast, c0, ...) that
+        returns _fn(p0, ..., x0, ...) -> result, bound to one AST and its
+        literal values; one try block turns a DomainError, an overflow, a math
+        domain error or a division by an underflowed square anywhere in them
+        into a DomainError naming the expression (the code `culprit`, over
+        `_ast`) and the point. The helpers come from namespace."""
         args = ", ".join(f"x{i}" for i in range(len(self.coords)))
         point = f"({args}{',' if self.coords else ''})"
-        body = "".join(line + "\n" for line in self.lines) or "        pass\n"
+        body = "".join("    " + line + "\n" for line in self.lines) or "            pass\n"
         params = "".join(f"p{i}, " for i in range(len(self.params)))
-        src = (f"def _fn({params}{args}):\n    try:\n{body}"
-               "    except (DomainError, ArithmeticError, ValueError) as exc:\n"
-               f"        raise _wrap_domain(exc, {culprit}, {point}) from None\n"
-               f"    return {result}\n")
-        ns = dict(namespace, _ast=ast)
-        exec(compile(src, filename, "exec"), ns)  # noqa: S102 - our own codegen
-        return ns["_fn"]
+        literals = "".join(f", c{k}" for k in range(self.literals))
+        src = (f"def _make(_ast{literals}):\n"
+               f"    def _fn({params}{args}):\n        try:\n{body}"
+               "        except (DomainError, ArithmeticError, ValueError) as exc:\n"
+               f"            raise _wrap_domain(exc, {culprit}, {point}) from None\n"
+               f"        return {result}\n"
+               "    return _fn\n")
+        made = {}
+        exec(compile(src, filename, "exec"), namespace, made)  # noqa: S102 - our own codegen
+        return made["_make"]
 
 
 def _tuple_source(items):
     return "(" + "".join(item + ", " for item in items) + ")"
 
 
-def _compile(ast, coordinate_names, parameter_names, order, stacked=False):
-    """fn(*parameters, *coords) -> value (order 0), (value, gradient) (order 1)
-    or (value, gradient, row-major Hessian) (order 2), as plain float tuples.
-    A fused set returns one flat tuple: each expression's value, then its
-    gradient (order >= 1), then its row-major Hessian (order 2), in order.
+def _compile(shape, coordinate_names, parameter_names, order, stacked=False):
+    """The factory (`_CodeGen.define`) of the code of an expression shape or
+    fused set of shapes: _make(ast, *literals) gives fn(*parameters, *coords)
+    -> value (order 0), (value, gradient) (order 1) or (value, gradient,
+    row-major Hessian) (order 2), as plain float tuples. A fused set returns
+    one flat tuple: each expression's value, then its gradient (order >= 1),
+    then its row-major Hessian (order 2), in order.
 
     The stacked variant, of a fused set, is the same code without the
     finiteness lines, run in the array namespace on (N,) coordinate arrays;
     each item of its flat tuple is an (N,) array or a float."""
     gen = _CodeGen(coordinate_names, parameter_names, order)
-    if isinstance(ast, tuple):
+    if isinstance(shape, tuple):
         flat = []
-        for k, node in enumerate(ast):
+        for k, node in enumerate(shape):
             gen.lines.append(f"        _k = {k}")  # names the failing expression
             flat += [item for part in gen.outputs(node, not stacked) for item in part]
-        return gen.define(ast, _tuple_source(flat), "<stconvex-fused>", "_ast[_k]",
+        return gen.define(_tuple_source(flat), "<stconvex-fused>", "_ast[_k]",
                           _STACKED_GLOBALS if stacked else _COMPILE_GLOBALS)
-    (val,), *derivatives = gen.outputs(ast)
+    (val,), *derivatives = gen.outputs(shape)
     result = ", ".join([val] + [_tuple_source(part) for part in derivatives])
-    return gen.define(ast, result, f"<stconvex-order{order}>")
+    return gen.define(result, f"<stconvex-order{order}>")
+
+
+def _shape(ast, literals):
+    """The expression, or fused set, with its k-th literal in pre-order
+    replaced by _Literal(k); the literal values are appended to literals."""
+    if isinstance(ast, Num):
+        literals.append(ast.value)
+        return _Literal(len(literals) - 1)
+    if isinstance(ast, Neg):
+        return Neg(_shape(ast.child, literals))
+    if isinstance(ast, BinOp):
+        return BinOp(ast.op, _shape(ast.left, literals), _shape(ast.right, literals))
+    if isinstance(ast, Call):
+        return Call(ast.func, _shape(ast.arg, literals))
+    if isinstance(ast, tuple):
+        return tuple(_shape(node, literals) for node in ast)
+    return ast
+
+
+@functools.lru_cache(maxsize=256)
+def _shape_code(order, shape, names, parameter_names, stacked):
+    return _compile(shape, names, parameter_names, order, stacked)
 
 
 @functools.lru_cache(maxsize=256)
 def _cached_code(order, ast, names, parameter_names, stacked=False):
-    return _compile(ast, names, parameter_names, order, stacked)
+    literals = []
+    shape = _shape(ast, literals)
+    return _shape_code(order, shape, names, parameter_names, stacked)(ast, *literals)
 
 
 def _code(order, ast, coordinate_names, parameters, stacked=False):
     """Compiled code of the expression or fused set, bound to the parameter
-    values, from one bounded LRU cache keyed by the order, the AST, the
-    coordinate names and the parameter names, so equal expressions share code
-    however often they are re-parsed, whichever entry point asks and whatever
-    the values. The stacked variant has its own key, compiled on first use."""
+    values. It comes from a bounded LRU cache keyed by the order, the AST,
+    the coordinate names and the parameter names, so equal expressions share
+    code however often they are re-parsed, whichever entry point asks and
+    whatever the values. On a miss, a second such cache, keyed by the
+    expression's shape (its literals numbered, not written), gives the
+    factory that binds the AST and its literal values, so an AST that
+    differs from a cached one only in its numbers costs no compile. The
+    stacked variant has its own key, compiled on first use."""
     fn = _cached_code(order, ast, tuple(coordinate_names), tuple(parameters or ()), stacked)
     return functools.partial(fn, *map(float, parameters.values())) if parameters else fn
 

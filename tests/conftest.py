@@ -5,6 +5,7 @@ jet differentiation used by the library; they must never call into the jet
 machinery except for plain value evaluation.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -207,3 +208,15 @@ def null_expansions_by_eigenvectors(model, base_point):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def bits_digest(results) -> str:
+    """sha256, to 16 hex digits, of float.hex of every float in a nested
+    structure of tuples, lists and arrays, so that -0.0 is not 0.0."""
+    def flat(item):
+        if isinstance(item, (tuple, list)):
+            return [bits for part in item for bits in flat(part)]
+        if isinstance(item, np.ndarray):
+            return [float(v).hex() for v in item.ravel().tolist()]
+        return [float(item).hex()]
+    return hashlib.sha256(" ".join(flat(results)).encode()).hexdigest()[:16]

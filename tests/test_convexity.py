@@ -12,8 +12,10 @@ from stconvex import (CInterval, ConvexityQuery, DomainError, NonLorentzianMetri
                       UnknownSymbol, admissible_c_interval, builtin_models, canonical_field,
                       canonical_field_spherical, certify_region, covariant_hessian,
                       hessian_signature, level_set_frame)
-from stconvex.convexity import GRID_CHUNK, SignatureDescriptor, grid_points
-from stconvex.expressions import to_source
+from stconvex import expressions as ex
+from stconvex.convexity import (ENDPOINT_RESOLUTION, GRID_CHUNK, SignatureDescriptor,
+                                _intersect_rows, grid_points)
+from stconvex.expressions import compile_jet2, eval_jet2, to_source
 
 from conftest import certify_region_per_point, flat_chart, random_lorentzian
 
@@ -233,16 +235,28 @@ _NEAR_CEILING = np.diag([-5.0, 8.0 - 4e-12, 10.0, 10.0])
 
 @pytest.mark.parametrize("ceiling", [8.0, 20.0, 1e3])
 def test_stacked_oracle_equals_single_calls(rng, ceiling):
-    """An (N, 4, 4) stack gives exactly the list of the single-matrix results."""
+    """Each row of an (N, 4, 4) stack's arrays is exactly the single-matrix
+    result: (lo, hi) NaN where the interval is None, and the sign counts of
+    the descriptor."""
     hs, gs = _pencil_stack(rng)
     singles = [admissible_c_interval(h, g, ceiling=ceiling) for h, g in zip(hs, gs)]
-    assert admissible_c_interval(hs, gs, ceiling=ceiling) == singles
+    lo, hi = admissible_c_interval(hs, gs, ceiling=ceiling)
+    assert lo.shape == hi.shape == (len(hs),)
+    for row, single in enumerate(singles):
+        if single is None:
+            assert math.isnan(lo[row]) and math.isnan(hi[row])
+        else:
+            assert (lo[row].hex(), hi[row].hex()) == (single.lo.hex(), single.hi.hex())
     assert None in singles
     assert all(i.ceiling_hit == (i.hi == ceiling) for i in singles if i is not None)
     assert any(i is not None and i.ceiling_hit for i in singles) == (ceiling == 8.0)
     assert any(i is not None and 0.0 < i.lo < i.hi < ceiling for i in singles)
-    assert hessian_signature(hs) == [hessian_signature(h) for h in hs]
-    labels = {d.label for d in hessian_signature(hs)}
+    descriptors = [hessian_signature(h) for h in hs]
+    counts = hessian_signature(hs)
+    assert [c.shape for c in counts] == [(len(hs),)] * 3
+    assert [SignatureDescriptor(*row) for row in zip(*(c.tolist() for c in counts))] \
+        == descriptors
+    labels = {d.label for d in descriptors}
     assert {"Lorentzian", "degenerate", "indefinite"} <= labels
 
 
@@ -287,7 +301,9 @@ def test_single_matrix_returns_one_result():
     assert isinstance(admissible_c_interval(np.diag([-0.5, 1.0, 1.0, 1.0]), ETA), CInterval)
     assert admissible_c_interval(np.zeros((4, 4)), ETA) is None
     assert isinstance(hessian_signature(ETA), SignatureDescriptor)
-    assert admissible_c_interval(ETA[None], ETA[None]) == [CInterval(1.0, 1.0)]
+    lo, hi = admissible_c_interval(ETA[None], ETA[None])
+    assert (lo.tolist(), hi.tolist()) == ([1.0], [1.0])
+    assert [c.tolist() for c in hessian_signature(ETA[None])] == [[1], [0], [3]]
 
 
 def test_non_lorentzian_row_in_a_stack_raises():
@@ -397,6 +413,17 @@ def test_certify_canonical_alpha_above_one_violated():
 def test_certify_invalid_region_rejected_before_scan():
     query = ConvexityQuery(region=((1.0, -1.0), (-1, 1), (-1, 1), (-1, 1)))
     with pytest.raises(ValueError):
+        certify_region(MINK, canonical_field(0.5), query)
+
+
+@pytest.mark.parametrize("axis", [(-math.inf, 1.0), (0.0, 1e308 * 10), (-1e308, 1e308)],
+                         ids=["infinite-lo", "infinite-hi", "overflowing-width"])
+def test_certify_refuses_an_axis_without_a_finite_width(axis):
+    """An infinite bound or a width past the float range made the grid's
+    spacing infinite: the scan raised a DomainError at a grid point with a
+    NaN coordinate, after an overflow warning for the last axis."""
+    query = ConvexityQuery(region=(BOX[0], axis) + BOX[2:], samples_per_axis=3)
+    with pytest.raises(ValueError, match=r"^region axis 1: .* does not have a finite width$"):
         certify_region(MINK, canonical_field(0.5), query)
 
 
@@ -650,3 +677,131 @@ def test_scan_memory_is_bounded_by_the_chunk():
 
     peak(2)  # compile and cache the evaluator and the field outside the measurement
     assert peak(9) <= 1.5 * peak(6)
+
+
+# --------------------------------------------------------------------------
+# literals bound to shared code, and the array fold
+# --------------------------------------------------------------------------
+
+_MILNE = CAT.model("milne")
+#: chart and field of each certify family, alpha written in as a literal
+_ALPHA_FAMILIES = (
+    (MINK, canonical_field),
+    (MINK_SPH, lambda alpha: CAT.field("canonical-spherical", alpha)),
+    (_MILNE, lambda alpha: _MILNE.field(f"0.5*tau^2*(sinh(chi)^2 - {alpha!r}*cosh(chi)^2)")),
+)
+
+
+def test_an_alpha_sweep_compiles_nothing_new(monkeypatch):
+    """A new alpha is a new literal of the same shape, bound to its code as
+    an argument: after the first of fifty values, neither certify_region nor
+    compile_jet2 nor eval_jet2, single or stacked, compiles anything."""
+    compiled = []
+    original = ex._compile
+
+    def recording(*args):
+        compiled.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ex, "_compile", recording)
+    ex._cached_code.cache_clear()
+    ex._shape_code.cache_clear()
+    for k, alpha in enumerate(np.random.default_rng(2004).uniform(0.05, 1.5, 50).tolist()):
+        for model, family in _ALPHA_FAMILIES:
+            field, names = family(alpha), model.coordinate_names
+            query = ConvexityQuery(region=model.sample_box, samples_per_axis=2)
+            certify_region(model, field, query)
+            points = np.array([p.coordinates for p in grid_points(query)])
+            compile_jet2(field.ast, names)(*points[0])
+            eval_jet2(field.ast, names, points[1].tolist())
+            eval_jet2(field.ast, names, points)
+        if k == 0:
+            assert compiled
+            compiled.clear()
+    assert compiled == []
+
+
+def test_fields_of_one_shape_name_their_own_text_and_point():
+    """log(0.25 - x) and log(0.75 - x) run one code; each error names its own
+    field's text and its own first failing point, from the single-point
+    code, the stacked code and a certify chunk's point-by-point re-run."""
+    names = MINK.coordinate_names
+    fields = [MINK.field(f"log({a} - x) + 0.5*y^2") for a in (0.25, 0.75)]
+    assert compile_jet2(fields[0].ast, names).__code__ is compile_jet2(fields[1].ast, names).__code__
+    query = ConvexityQuery(region=BOX, samples_per_axis=5)
+    points = np.array([p.coordinates for p in grid_points(query)])
+    for field, x in zip(fields, (0.5, 1.0)):
+        first = (-1.0, x, -1.0, -1.0)  # the first grid point with 0.25 - x or 0.75 - x <= 0
+        message = f"while evaluating '{to_source(field.ast)}' at {first}"
+        with pytest.raises(DomainError) as single:
+            eval_jet2(field.ast, names, first)
+        with pytest.raises(DomainError) as stacked:
+            eval_jet2(field.ast, names, points)
+        with pytest.raises(DomainError) as certified:
+            certify_region(MINK, field, query)
+        assert str(single.value).endswith(message)
+        assert str(stacked.value) == str(single.value)
+        assert str(certified.value) == f"{single.value} [at grid point {first}]"
+
+
+def _left_fold(rows, ceiling):
+    """(the interval, the index of the row that emptied it) of the per-row
+    fold that certify_region made: CInterval.intersect one row at a time."""
+    running = CInterval(0.0, ceiling)
+    for index, (lo, hi) in enumerate(rows):
+        running = None if math.isnan(lo) else running.intersect(CInterval(lo, hi, hi == ceiling))
+        if running is None:
+            return None, index
+    return running, None
+
+
+def _fold_rows(rng, ceiling):
+    """Rows of admissible_c_interval's arrays around a common c: some empty,
+    some with lo at 0.0 or -0.0, some touching ends within
+    ENDPOINT_RESOLUTION and some crossing past it, some at the ceiling."""
+    c = float(rng.uniform(0.5, 2.0))
+    rows = []
+    for _ in range(int(rng.integers(1, 40))):
+        if rng.random() < 0.03:
+            rows.append((math.nan, math.nan))
+            continue
+        kind = rng.random()
+        lo = (float(rng.choice([0.0, -0.0])) if kind < 0.3 else
+              float(rng.uniform(0.0, c)) if kind < 0.7 else
+              c * (1.0 + float(rng.uniform(-1.0, 3.0)) * ENDPOINT_RESOLUTION))
+        kind = rng.random()
+        hi = (ceiling if kind < 0.35 else float(rng.uniform(c, ceiling)) if kind < 0.6 else
+              c * (1.0 + float(rng.uniform(-1.0, 1.0)) * ENDPOINT_RESOLUTION))
+        rows.append((min(lo, hi), max(lo, hi)))
+    return rows
+
+
+@pytest.mark.parametrize("seed", [2005, 2006, 2007])
+def test_array_fold_equals_a_left_fold_of_intersect(seed):
+    """_intersect_rows over rows split into chunks at random gives the left
+    fold's interval, to the bit and with its ceiling_hit, and its witness row."""
+    rng = np.random.default_rng(seed)
+    ceiling = 8.0
+    outcomes = set()
+    for _ in range(300):
+        rows = _fold_rows(rng, ceiling)
+        expected, expected_row = _left_fold(rows, ceiling)
+        lo, hi = np.array(rows).T
+        cuts = np.sort(rng.choice(np.arange(1, len(rows) + 1), int(rng.integers(1, 5))))
+        running, row, start = CInterval(0.0, ceiling), None, 0
+        for stop in dict.fromkeys(cuts.tolist() + [len(rows)]):
+            running, failed = _intersect_rows(running, lo[start:stop], hi[start:stop], ceiling)
+            if running is None:
+                row = start + failed
+                break
+            start = stop
+        assert row == expected_row
+        if expected is None:
+            assert running is None
+            outcomes.add("empty" if math.isnan(rows[row][0]) else "crossed")
+        else:
+            assert (running.lo.hex(), running.hi.hex(), running.ceiling_hit) == \
+                (expected.lo.hex(), expected.hi.hex(), expected.ceiling_hit)
+            outcomes.add("ceiling" if expected.ceiling_hit else
+                         "touching" if expected.lo > expected.hi else "kept")
+    assert outcomes == {"empty", "crossed", "ceiling", "touching", "kept"}

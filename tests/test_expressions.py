@@ -14,13 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stconvex import builtin_models
+from stconvex import (ScalarField, builtin_models, canonical_field,
+                      canonical_field_spherical)
 from stconvex.errors import DomainError, ParseError, UnknownSymbol
 from stconvex.expressions import (FUNCTIONS, BinOp, Call, Neg, Num, Sym, _cached_code,
                                   compile_jet1, compile_jet2, compile_value, eval_block,
                                   eval_jet1, eval_jet2, parse, symbols_in, to_source)
 
-from conftest import fd_gradient, fd_hessian, value_fn
+from conftest import bits_digest, fd_gradient, fd_hessian, value_fn
 
 XY = ("x", "y")
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -754,3 +755,69 @@ def test_tan_derivatives():
     t = math.tan(0.3)
     assert jet.gradient[0] == pytest.approx(1 + t * t, rel=1e-14)
     assert jet.hessian[0, 0] == pytest.approx(2 * t * (1 + t * t), rel=1e-13)
+
+
+# --------------------------------------------------------------------------
+# literals bound to shared code
+# --------------------------------------------------------------------------
+
+def test_signed_zero_literals_are_distinct_keys():
+    """0.0 and -0.0 compare and hash equal as floats, so a cache keyed by the
+    AST handed -0.0*x the code of a 0.0*x compiled before it."""
+    x = Sym("x")
+    assert compile_value(BinOp("*", Num(0.0), x), ("x",))(2.0).hex() == "0x0.0p+0"
+    assert compile_value(BinOp("*", Num(-0.0), x), ("x",))(2.0).hex() == "-0x0.0p+0"
+    assert Num(0.0) != Num(-0.0) and Num(0.0) == Num(0.0) and Num(-0.0) == Num(-0.0)
+    assert parse("-0.0*x", ("x",)) == BinOp("*", Neg(Num(0.0)), x)  # the parser makes no -0.0
+
+
+#: the three certify fields, each written with alpha as a literal
+_ALPHA_FIELDS = {
+    "canonical": ("minkowski-cartesian", lambda a: canonical_field(a)),
+    "canonical-spherical": ("minkowski-spherical", lambda a: canonical_field_spherical(a)),
+    "milne": ("milne", lambda a: ScalarField.from_text(
+        f"0.5*tau^2*(sinh(chi)^2 - {a!r}*cosh(chi)^2)", ("tau", "chi", "theta", "phi"))),
+}
+
+
+def _alpha_field_digests(name, alpha):
+    """Digests of a field's jets of orders 0-2 at four seeded points of its
+    chart's box: (the single-point entry points, stacked eval_jet2, eval_block)."""
+    chart, make = _ALPHA_FIELDS[name]
+    model = builtin_models().model(chart)
+    ast, names = make(alpha).ast, model.coordinate_names
+    lo, hi = np.array(model.sample_box).T
+    points = lo + (hi - lo) * np.random.default_rng(2001).random((4, len(names)))
+    single = []
+    for point in points.tolist():
+        single += [compile_value(ast, names)(*point), compile_jet1(ast, names)(*point),
+                   compile_jet2(ast, names)(*point), eval_jet1(ast, names, point)]
+        jet = eval_jet2(ast, names, point)
+        single += [jet.value, jet.gradient, jet.hessian]
+    stacked = eval_jet2(ast, names, points)
+    blocks = [eval_block(order, (ast,), names, points) for order in (0, 1, 2)]
+    return (bits_digest(single), bits_digest([stacked.value, stacked.gradient,
+                                                 stacked.hessian]), bits_digest(blocks))
+
+
+#: _alpha_field_digests as computed when alpha was written into the code as
+#: a literal that CPython folds (x86-64 Linux, glibc 2.36)
+_ALPHA_FIELD_BITS = {
+    ('canonical', 0.3): ('c3d9dd68aa597002', 'dd0d92c733100ef4', 'eb6249a85595e6f0'),
+    ('canonical', 0.95): ('acf5a6fa5d5c6223', 'db00f33c9e9b1d2c', '49c59b6909f36bde'),
+    ('canonical', 1.25): ('83269ef9e20ee5c8', '1858e517f63caeef', '1e62f7a9321ac6ac'),
+    ('canonical-spherical', 0.3): ('e1da07e33f61b711', '45dcdfbc062fda76', '19da4e0cf9a1e936'),
+    ('canonical-spherical', 0.95): ('4d5944173eaffb94', 'c261341847eb065a', '46a17cd23685e9b7'),
+    ('canonical-spherical', 1.25): ('4e24d047bf2f1429', '4f83363666a735d9', '29dba41d3c409357'),
+    ('milne', 0.3): ('afe59e00e4f241a2', 'e724a8715fc3ca2f', '3f9dd45a9f2ec027'),
+    ('milne', 0.95): ('542ce63c3d087ab1', 'c28b7cafcf488644', 'cf5fca83209bc5fc'),
+    ('milne', 1.25): ('6d083dc5faad7a98', '0b30866f01aab6de', 'a4acfcddd8268647'),
+}
+
+
+@pytest.mark.parametrize("name, alpha", _ALPHA_FIELD_BITS.keys(),
+                         ids=[f"{name}-{alpha}" for name, alpha in _ALPHA_FIELD_BITS])
+def test_literals_bound_as_arguments_keep_the_folded_literal_bits(name, alpha):
+    """Literal values bound to shared code give, to the bit, the jets of code
+    with the literals written in, single, stacked and from eval_block."""
+    assert _alpha_field_digests(name, alpha) == _ALPHA_FIELD_BITS[name, alpha]

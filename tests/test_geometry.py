@@ -19,7 +19,7 @@ from stconvex.expressions import compile_jet1, to_source
 from stconvex.convexity import PSD_TOLERANCE
 from stconvex.geometry import SpacetimeModel, christoffels_from, geodesic_acceleration
 
-from conftest import (fd_christoffels, fd_gradient, fd_hessian,
+from conftest import (bits_digest, fd_christoffels, fd_gradient, fd_hessian,
                       fd_metric_derivatives, flat_chart, random_lorentzian,
                       random_point_in, spherical_to_cartesian, value_fn)
 
@@ -640,6 +640,7 @@ def test_a_parameter_sweep_compiles_nothing_new(monkeypatch):
 
     monkeypatch.setattr(ex, "_compile", recording)
     ex._cached_code.cache_clear()
+    ex._shape_code.cache_clear()
     for k, m in enumerate(np.random.default_rng(1804).uniform(0.5, 2.0, 50).tolist()):
         model = CAT.model("schwarzschild-interior", M=m)
         point = (0.1, 0.6 * m, 1.0, 2.0)
@@ -667,6 +668,7 @@ def test_stacked_code_compiles_on_the_first_stacked_call_only(monkeypatch):
 
     monkeypatch.setattr(ex, "_compile", recording)
     ex._cached_code.cache_clear()
+    ex._shape_code.cache_clear()
     model = SCHW.with_parameters(M=0.8765)
     f = model.field("r^2*sin(theta) - 0.8765*t^2")
     point = Point((0.1, 4.0, 1.0, 2.0))
@@ -683,3 +685,37 @@ def test_stacked_code_compiles_on_the_first_stacked_call_only(monkeypatch):
     covariant_hessian(f, model, points + 0.5)
     evaluator.metric_at(points)
     assert compiled == []
+
+
+def _chart_digests(model):
+    """Digests of the unique components' jets of order 2 and the loci's values
+    at eight seeded points of the chart's box: (single-point code, eval_block)."""
+    names, d, params = model.coordinate_names, model.dimension, model.parameters
+    unique = tuple(dict.fromkeys(model.components[i][j] for i in range(d) for j in range(i, d)))
+    loci = tuple(model.singular_loci)
+    lo, hi = np.array(model.sample_box).T
+    points = lo + (hi - lo) * np.random.default_rng(2002).random((8, d))
+    single = [(ex.compile_jet2(unique, names, params)(*point),
+               ex.compile_value(loci, names, params)(*point)) for point in points.tolist()]
+    blocks = [ex.eval_block(2, unique, names, points, params)]
+    if loci:
+        blocks.append(ex.eval_block(0, loci, names, points, params))
+    return bits_digest(single), bits_digest(blocks)
+
+
+#: _chart_digests as computed when the literals of the components and loci
+#: were written into the code, for CPython to fold (x86-64 Linux, glibc 2.36)
+_CHART_BITS = {
+    'minkowski-cartesian': ('79297383ce2cd3f8', '0467f6205ea5bf54'),
+    'minkowski-spherical': ('7db4209f669261ee', 'aaa48b0aeae468fa'),
+    'schwarzschild-exterior': ('599772302ff36226', 'bed61d2a671d03c3'),
+    'schwarzschild-interior': ('08e0c0a3844034b8', 'd73f7829129e4798'),
+    'milne': ('d79e212a5a3dce2f', '1f4653a254d67bb8'),
+}
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=[m.name for m in ALL_MODELS])
+def test_catalog_charts_keep_the_folded_literal_bits(model):
+    """Components and loci, whose literals now bind to shared code as
+    arguments, keep the bits of the code that had them written in."""
+    assert _chart_digests(model) == _CHART_BITS[model.name]
