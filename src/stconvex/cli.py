@@ -119,6 +119,14 @@ class ConfigValue:
     def numbers(self) -> list[float]:
         return [self._float(text) for text in self.texts]
 
+    def flag(self) -> bool:
+        raw = self.single()
+        if raw.lower() in ("true", "yes", "1"):
+            return True
+        if raw.lower() in ("false", "no", "0"):
+            return False
+        raise ConfigError(f"'{self.key}' must be true or false, got {raw!r}", self.line)
+
     def _float(self, text) -> float:
         try:
             value = float(text)
@@ -213,9 +221,6 @@ class Config:
     def section(self, name) -> dict[str, ConfigValue]:
         return self.sections.get(name, {})
 
-    def has(self, section, key) -> bool:
-        return key in self.section(section)
-
     def value(self, section, key, default=None) -> ConfigValue:
         """The key's value; a missing key reads as the default text, and is
         an error when there is none, so defaults take the same conversion."""
@@ -226,27 +231,6 @@ class Config:
             raise ConfigError(f"missing '{key}' in [{section}]")
         return ConfigValue([default], key, None)
 
-    def scalar(self, section, key) -> str:
-        return self.value(section, key).single()
-
-    def number(self, section, key, default=None) -> float:
-        return self.value(section, key, default).number()
-
-    def count(self, section, key, default=None) -> int:
-        return self.value(section, key, default).count()
-
-    def numbers(self, section, key) -> list[float]:
-        return self.value(section, key).numbers()
-
-    def flag(self, section, key) -> bool:
-        v = self.value(section, key, "false")
-        raw = v.single()
-        if raw.lower() in ("true", "yes", "1"):
-            return True
-        if raw.lower() in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"'{key}' must be true or false, got {raw!r}", v.line)
-
     def bracketed(self, section, prefix) -> dict[str, ConfigValue]:
         """All keys of the form prefix[inner], mapped by inner text."""
         out = {}
@@ -256,17 +240,35 @@ class Config:
         return out
 
 
+def _per_coordinate(entries, names, missing, read):
+    """read(name, value) of each coordinate's entry, in coordinate order; a
+    coordinate without one raises ConfigError(missing.format(name))."""
+    values = []
+    for name in names:
+        if name not in entries:
+            raise ConfigError(missing.format(name))
+        values.append(read(name, entries[name]))
+    return values
+
+
+def _lo_hi(name, v):
+    lohi = v.numbers()
+    if len(lohi) != 2:
+        raise ConfigError(f"box[{name}] expects 'lo, hi'", v.line)
+    return lohi[0], lohi[1]
+
+
 # --------------------------------------------------------------------------
 # model / field resolution
 # --------------------------------------------------------------------------
 
 def resolve_model(cfg: Config) -> SpacetimeModel:
-    if not cfg.section("model"):
+    section = cfg.section("model")
+    if not section:
         raise ConfigError("missing [model] section")
     overrides = {name: v.number() for name, v in cfg.bracketed("model", "param").items()}
-    if cfg.has("model", "builtin"):
-        name = cfg.scalar("model", "builtin")
-        return builtin_models().model(name, **overrides)
+    if "builtin" in section:
+        return builtin_models().model(section["builtin"].single(), **overrides)
     coords = cfg.value("model", "coordinates").texts
     components = {}
     for inner, v in cfg.bracketed("model", "g").items():
@@ -274,25 +276,24 @@ def resolve_model(cfg: Config) -> SpacetimeModel:
         if len(pair) != 2 or not all(c in coords for c in pair):
             raise ConfigError(f"bad metric component key 'g[{inner}]'", v.line)
         components[(coords.index(pair[0]), coords.index(pair[1]))] = v.single()
-    loci = ()
-    if cfg.has("model", "singular_loci"):
-        loci = tuple(cfg.value("model", "singular_loci").texts)
+    loci = tuple(section["singular_loci"].texts) if "singular_loci" in section else ()
     return SpacetimeModel.from_components(
         name="inline", coordinate_names=coords, components=components,
         parameters=overrides, singular_loci=loci)
 
 
 def resolve_field(cfg: Config, model: SpacetimeModel) -> ScalarField:
-    if not cfg.section("field"):
+    section = cfg.section("field")
+    if not section:
         raise ConfigError("missing [field] section")
-    if cfg.has("field", "builtin"):
-        name = cfg.scalar("field", "builtin")
-        if not cfg.has("field", "alpha"):
+    if "builtin" in section:
+        name = section["builtin"].single()
+        if "alpha" not in section:
             raise ConfigError(f"unbound parameter alpha for builtin field '{name}'")
-        return builtin_models().field(name, alpha=cfg.number("field", "alpha"))
-    if not cfg.has("field", "expression"):
+        return builtin_models().field(name, alpha=section["alpha"].number())
+    if "expression" not in section:
         raise ConfigError("field needs either 'builtin' or 'expression'")
-    return model.field(cfg.scalar("field", "expression"))
+    return model.field(section["expression"].single())
 
 
 # --------------------------------------------------------------------------
@@ -334,24 +335,17 @@ def cmd_certify(cfg: Config, report: Report) -> int:
     field = resolve_field(cfg, model)
     boxes = cfg.bracketed("certify", "box")
     if boxes:
-        region = []
-        for name in model.coordinate_names:
-            if name not in boxes:
-                raise ConfigError(f"certify box missing coordinate '{name}'")
-            lohi = boxes[name].numbers()
-            if len(lohi) != 2:
-                raise ConfigError(f"box[{name}] expects 'lo, hi'", boxes[name].line)
-            region.append((lohi[0], lohi[1]))
-        region = tuple(region)
+        region = tuple(_per_coordinate(boxes, model.coordinate_names,
+                                       "certify box missing coordinate '{}'", _lo_hi))
     elif model.sample_box is not None:
         region = model.sample_box
     else:
         raise ConfigError("no certify box given and the model declares no default")
     query = ConvexityQuery(
         region=region,
-        samples_per_axis=cfg.count("certify", "samples_per_axis", "5"),
-        psd_tolerance=cfg.number("certify", "psd_tolerance", repr(PSD_TOLERANCE)),
-        c_search_ceiling=cfg.number("certify", "c_ceiling", repr(C_SEARCH_CEILING)),
+        samples_per_axis=cfg.value("certify", "samples_per_axis", "5").count(),
+        psd_tolerance=cfg.value("certify", "psd_tolerance", repr(PSD_TOLERANCE)).number(),
+        c_search_ceiling=cfg.value("certify", "c_ceiling", repr(C_SEARCH_CEILING)).number(),
     )
     cert = certify_region(model, field, query)
     report.kv("verdict", cert.verdict)
@@ -377,10 +371,10 @@ def cmd_certify(cfg: Config, report: Report) -> int:
 
 
 def cmd_barrier_scan(cfg: Config, report: Report) -> int:
-    mass = cfg.number("barrier-scan", "M")
-    r_lo = cfg.number("barrier-scan", "r_lo")
-    r_hi = cfg.number("barrier-scan", "r_hi")
-    samples = cfg.count("barrier-scan", "samples", "100")
+    mass = cfg.value("barrier-scan", "M").number()
+    r_lo = cfg.value("barrier-scan", "r_lo").number()
+    r_hi = cfg.value("barrier-scan", "r_hi").number()
+    samples = cfg.value("barrier-scan", "samples", "100").count()
     result = barrier_scan(mass, r_lo, r_hi, samples)
     report.raw("r,TrK")
     for r, v in result.r_samples:
@@ -395,17 +389,14 @@ def cmd_barrier_scan(cfg: Config, report: Report) -> int:
 def cmd_geodesic_probe(cfg: Config, report: Report) -> int:
     model = resolve_model(cfg)
     field = resolve_field(cfg, model)
-    c = cfg.number("geodesic-probe", "c", "1.0")
-    tolerance = cfg.number("geodesic-probe", "tolerance", repr(MARGIN_TOLERANCE))
+    c = cfg.value("geodesic-probe", "c", "1.0").number()
+    tolerance = cfg.value("geodesic-probe", "tolerance", repr(MARGIN_TOLERANCE)).number()
     loops = cfg.bracketed("geodesic-probe", "loop")
     if loops:
-        texts = []
-        for name in model.coordinate_names:
-            if name not in loops:
-                raise ConfigError(f"loop is missing coordinate '{name}'")
-            texts.append(loops[name].single())
+        texts = _per_coordinate(loops, model.coordinate_names, "loop is missing coordinate '{}'",
+                                lambda name, v: v.single())
         curve = CurveSpec.from_texts(texts, extra_symbols=tuple(model.parameters))
-        n_samples = cfg.count("geodesic-probe", "loop_samples", "256")
+        n_samples = cfg.value("geodesic-probe", "loop_samples", "256").count()
         probe = closed_curve_probe(field, model, curve, c, n_samples, tolerance)
         report.kv("mode", "closed-loop")
         report.kv("obstructed", probe.obstructed)
@@ -415,12 +406,12 @@ def cmd_geodesic_probe(cfg: Config, report: Report) -> int:
         report.kv("c", probe.c)
         report.kv("samples", probe.n_samples)
         return 2 if probe.obstructed else 0
-    position = cfg.numbers("geodesic-probe", "position")
-    velocity = cfg.numbers("geodesic-probe", "velocity")
-    span = cfg.numbers("geodesic-probe", "span")
+    position = cfg.value("geodesic-probe", "position").numbers()
+    velocity = cfg.value("geodesic-probe", "velocity").numbers()
+    span = cfg.value("geodesic-probe", "span").numbers()
     if len(span) != 2:
         raise ConfigError("span expects 'start, end'")
-    step = cfg.number("geodesic-probe", "step", repr(DEFAULT_STEP))
+    step = cfg.value("geodesic-probe", "step", repr(DEFAULT_STEP)).number()
     trajectory = integrate_geodesic(model, GeodesicState.of(position, velocity),
                                     (span[0], span[1]), step)
     margins = convexity_along_curve(field, trajectory, c, tolerance)
@@ -440,12 +431,12 @@ def cmd_geodesic_probe(cfg: Config, report: Report) -> int:
 def cmd_foliate(cfg: Config, report: Report) -> int:
     model = resolve_model(cfg)
     field = resolve_field(cfg, model)
-    coord = cfg.scalar("foliate", "coordinate")
+    coord = cfg.value("foliate", "coordinate").single()
     if coord not in model.coordinate_names:
         raise ConfigError(f"'{coord}' is not a coordinate of the model")
     k = model.coordinate_names.index(coord)
-    values = cfg.numbers("foliate", "values")
-    base = cfg.numbers("foliate", "point")
+    values = cfg.value("foliate", "values").numbers()
+    base = cfg.value("foliate", "point").numbers()
     report.raw(f"{coord},TrK")
     for value in values:
         coords = list(base)
@@ -458,9 +449,9 @@ def cmd_foliate(cfg: Config, report: Report) -> int:
 def cmd_slice_probe(cfg: Config, report: Report) -> int:
     model = resolve_model(cfg)
     field = resolve_field(cfg, model)
-    spec = SliceSpec(cfg.scalar("slice-probe", "coordinate"),
-                     cfg.number("slice-probe", "value"))
-    maximal = cfg.flag("slice-probe", "maximal")
+    spec = SliceSpec(cfg.value("slice-probe", "coordinate").single(),
+                     cfg.value("slice-probe", "value").number())
+    maximal = cfg.value("slice-probe", "maximal", "false").flag()
     points = cfg.bracketed("slice-probe", "point")
     if not points:
         raise ConfigError("slice-probe needs at least one point[...] entry")

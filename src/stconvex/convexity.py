@@ -240,10 +240,6 @@ class ConvexityCertificate:
     ceiling: float
     signature_labels: tuple[str, ...] = field(default=())
 
-    @property
-    def certified(self) -> bool:
-        return self.verdict == "certified"
-
 
 def grid_points(query: ConvexityQuery) -> list[Point]:
     return [Point(row) for chunk in _grid_chunks(query) for row in chunk]

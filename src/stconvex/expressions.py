@@ -26,14 +26,13 @@ Hessian is symmetric to the bit. All five entry points (`compile_value`,
 the compiled (value, gradient) pair) take that code from one bounded LRU
 cache keyed by the order, the AST or fused set (a tuple of ASTs compiled to
 one function that returns one flat tuple), the coordinate names and the
-parameter names. The code takes the parameter values as arguments, before
-the coordinates, so a chart compiles once whatever its values; `compile_*`
-bind them. It is compiled for the expression's shape, the AST with its
-literals numbered rather than written, and each AST binds its own literal
-values and itself (for its error messages) to the shape's code, so a field
-that differs from a compiled one only in its numbers compiles nothing; the
-values are those CPython folded when it compiled the literals in. Each AST
-node computes its hash once, on first use.
+parameter names. The code is compiled for the expression's shape, the AST
+with its k-th literal read as the parameter '#k', a name the parser never
+produces. Everything that is not a coordinate reaches it by one rule, as a
+leading argument: the AST (for its error messages), then its literal values,
+then the parameter values, so a chart compiles once whatever its values and
+a field that differs from a compiled one only in its numbers compiles
+nothing. Each AST node computes its hash once, on first use.
 The emitted code alone keeps one contract for every entry point: all outputs
 are finite, or the call raises a DomainError naming the expression (in a
 fused set, the member that failed) and the point.
@@ -44,8 +43,9 @@ There each math function, log, sqrt and power is applied element by element
 with Python's math and **, so every entry has the scalar code's bits, and a
 helper gives NaN where its scalar form raises; + - * / are elementwise IEEE
 operations. A non-finite column is settled by running the scalar code at
-that point, which raises its own error. The array variant is cached under
-its own key and compiled on first use.
+that point, which raises its own error or, where its power turns a NaN into
+1 (NaN^0 and 1^NaN, as IEEE pow does), gives the row its values. The array
+variant is cached under its own key and compiled on first use.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from __future__ import annotations
 import functools
 import math
 import types
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +76,7 @@ class _Node:
     def __hash__(self):
         cached = getattr(self, "_hash", None)
         if cached is None:
-            cached = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            cached = hash(tuple(getattr(self, name) for name in self.__match_args__))
             object.__setattr__(self, "_hash", cached)
         return cached
 
@@ -118,16 +118,8 @@ class Call(_Node):
     arg: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
-class _Literal(_Node):
-    """Placeholder of an expression shape: the index-th literal, in pre-order,
-    which the shape's code reads as the argument c{index}."""
-
-    index: int
-
-
 # dataclass would give each class a field-tuple hash that walks the tree
-for _cls in (Num, Sym, Neg, BinOp, Call, _Literal):
+for _cls in (Num, Sym, Neg, BinOp, Call):
     _cls.__hash__ = _Node.__hash__
 
 Expr = Num | Sym | Neg | BinOp | Call
@@ -144,7 +136,7 @@ def symbols_in(ast) -> frozenset[str]:
             if isinstance(node, Sym):
                 names.add(node.name)
             elif isinstance(node, _Node):
-                stack.extend(getattr(node, f.name) for f in fields(node))
+                stack.extend(getattr(node, name) for name in node.__match_args__)
         cached = frozenset(names)
         object.__setattr__(ast, "_symbols", cached)
     return cached
@@ -463,7 +455,8 @@ def _stacked_pow_vd(base, k):
     scalar code takes it (numpy's power takes b**2 as b*b, which differs in
     the last bit), except b**0 = 1 and b**1 = b, which ** gives exactly. NaN
     where _pow_vd raises and wherever the base or k is NaN, so that no NaN
-    turns finite (the scalar code raised before it got here)."""
+    turns finite; _pow_vd, like IEEE pow, gives NaN^0 = 1 and 1^NaN = 1, so
+    the scalar code may pass a point whose row is NaN here."""
     if math.isnan(k):
         return math.nan, math.nan, math.nan
     if not isinstance(base, np.ndarray):
@@ -512,8 +505,6 @@ _COMPILE_GLOBALS = {
     "__builtins__": {},
     "math": math,
     "abs": abs,
-    "inf": math.inf,  # repr of an infinite literal
-    "nan": math.nan,
     "_pow_vd": _pow_vd,
     "_sign_nonzero": _sign_nonzero,
     "_nonzero": _nonzero,
@@ -558,14 +549,13 @@ _CODEGEN_CALLS = {
 class _CodeGen:
     """Emit unrolled forward-mode code of order 0, 1 or 2 for one expression.
 
-    The expression is a shape (`_shape`): its literals are placeholders,
-    read as the arguments c0, c1, ... of the code. emit returns (value,
-    gradient, hessian): a temp, parameter or literal argument, one
-    expression per coordinate, and a dict over the upper triangle (i <= j)
-    of the Hessian; None and a missing key are exact zeros. Order 0 seeds no
-    derivatives and order 1 emits no Hessian entries, so the value and
-    gradient lines are the same at every order. No line depends on a
-    literal's value, so every AST of one shape gets the same code.
+    The expression is a shape (`_shape`): each of its literals is a
+    parameter, read as an argument p0, p1, ... of the code like any other.
+    emit returns (value, gradient, hessian): a temp or parameter argument,
+    one expression per coordinate, and a dict over the upper triangle
+    (i <= j) of the Hessian; None and a missing key are exact zeros. Order 0
+    seeds no derivatives and order 1 emits no Hessian entries, so the value
+    and gradient lines are the same at every order.
     """
 
     def __init__(self, coord_names, parameter_names, order):
@@ -574,7 +564,6 @@ class _CodeGen:
         self.order = order
         self.lines = []
         self.counter = 0
-        self.literals = 0
 
     def temp(self, expr):
         name = f"v{self.counter}"
@@ -591,9 +580,6 @@ class _CodeGen:
 
     def emit(self, node):
         n = len(self.coords)
-        if isinstance(node, _Literal):
-            self.literals = max(self.literals, node.index + 1)
-            return f"c{node.index}", [None] * n, {}
         if isinstance(node, Sym):
             if node.name in self.params:
                 return f"p{self.params.index(node.name)}", [None] * n, {}
@@ -728,26 +714,21 @@ class _CodeGen:
         return ([val], gradient, hessian)[:self.order + 1]
 
     def define(self, result, filename, culprit="_ast", namespace=_COMPILE_GLOBALS):
-        """Compile the emitted lines into a factory _make(_ast, c0, ...) that
-        returns _fn(p0, ..., x0, ...) -> result, bound to one AST and its
-        literal values; one try block turns a DomainError, an overflow, a math
-        domain error or a division by an underflowed square anywhere in them
-        into a DomainError naming the expression (the code `culprit`, over
-        `_ast`) and the point. The helpers come from namespace."""
-        args = ", ".join(f"x{i}" for i in range(len(self.coords)))
-        point = f"({args}{',' if self.coords else ''})"
-        body = "".join("    " + line + "\n" for line in self.lines) or "            pass\n"
-        params = "".join(f"p{i}, " for i in range(len(self.params)))
-        literals = "".join(f", c{k}" for k in range(self.literals))
-        src = (f"def _make(_ast{literals}):\n"
-               f"    def _fn({params}{args}):\n        try:\n{body}"
-               "        except (DomainError, ArithmeticError, ValueError) as exc:\n"
-               f"            raise _wrap_domain(exc, {culprit}, {point}) from None\n"
-               f"        return {result}\n"
-               "    return _fn\n")
+        """Compile the emitted lines into _fn(_ast, p0, ..., x0, ...) ->
+        result. One try block turns a DomainError, an overflow, a math domain
+        error or a division by an underflowed square anywhere in them into a
+        DomainError naming the expression (the code `culprit`, over `_ast`)
+        and the point. The helpers come from namespace."""
+        coords = [f"x{i}" for i in range(len(self.coords))]
+        signature = ", ".join(["_ast", *(f"p{i}" for i in range(len(self.params))), *coords])
+        body = "".join(line + "\n" for line in self.lines) or "        pass\n"
+        src = (f"def _fn({signature}):\n    try:\n{body}"
+               "    except (DomainError, ArithmeticError, ValueError) as exc:\n"
+               f"        raise _wrap_domain(exc, {culprit}, {_tuple_source(coords)}) from None\n"
+               f"    return {result}\n")
         made = {}
         exec(compile(src, filename, "exec"), namespace, made)  # noqa: S102 - our own codegen
-        return made["_make"]
+        return made["_fn"]
 
 
 def _tuple_source(items):
@@ -755,12 +736,12 @@ def _tuple_source(items):
 
 
 def _compile(shape, coordinate_names, parameter_names, order, stacked=False):
-    """The factory (`_CodeGen.define`) of the code of an expression shape or
-    fused set of shapes: _make(ast, *literals) gives fn(*parameters, *coords)
-    -> value (order 0), (value, gradient) (order 1) or (value, gradient,
-    row-major Hessian) (order 2), as plain float tuples. A fused set returns
-    one flat tuple: each expression's value, then its gradient (order >= 1),
-    then its row-major Hessian (order 2), in order.
+    """The code of an expression shape or fused set of shapes (`_CodeGen.define`):
+    fn(ast, *parameters, *coords), the parameters led by the shape's
+    literals, -> value (order 0), (value, gradient) (order 1) or (value,
+    gradient, row-major Hessian) (order 2), as plain float tuples. A fused
+    set returns one flat tuple: each expression's value, then its gradient
+    (order >= 1), then its row-major Hessian (order 2), in order.
 
     The stacked variant, of a fused set, is the same code without the
     finiteness lines, run in the array namespace on (N,) coordinate arrays;
@@ -780,10 +761,10 @@ def _compile(shape, coordinate_names, parameter_names, order, stacked=False):
 
 def _shape(ast, literals):
     """The expression, or fused set, with its k-th literal in pre-order
-    replaced by _Literal(k); the literal values are appended to literals."""
+    replaced by Sym('#k'); the literal values are appended to literals."""
     if isinstance(ast, Num):
         literals.append(ast.value)
-        return _Literal(len(literals) - 1)
+        return Sym(f"#{len(literals) - 1}")
     if isinstance(ast, Neg):
         return Neg(_shape(ast.child, literals))
     if isinstance(ast, BinOp):
@@ -804,7 +785,9 @@ def _shape_code(order, shape, names, parameter_names, stacked):
 def _cached_code(order, ast, names, parameter_names, stacked=False):
     literals = []
     shape = _shape(ast, literals)
-    return _shape_code(order, shape, names, parameter_names, stacked)(ast, *literals)
+    literal_names = tuple(f"#{k}" for k in range(len(literals)))
+    code = _shape_code(order, shape, names, literal_names + parameter_names, stacked)
+    return functools.partial(code, ast, *literals)
 
 
 def _code(order, ast, coordinate_names, parameters, stacked=False):
@@ -813,10 +796,10 @@ def _code(order, ast, coordinate_names, parameters, stacked=False):
     the coordinate names and the parameter names, so equal expressions share
     code however often they are re-parsed, whichever entry point asks and
     whatever the values. On a miss, a second such cache, keyed by the
-    expression's shape (its literals numbered, not written), gives the
-    factory that binds the AST and its literal values, so an AST that
-    differs from a cached one only in its numbers costs no compile. The
-    stacked variant has its own key, compiled on first use."""
+    expression's shape (each literal a parameter '#k', listed before the
+    others), gives the code, to which the AST and its literal values bind,
+    so an AST that differs from a cached one only in its numbers costs no
+    compile. The stacked variant has its own key, compiled on first use."""
     fn = _cached_code(order, ast, tuple(coordinate_names), tuple(parameters or ()), stacked)
     return functools.partial(fn, *map(float, parameters.values())) if parameters else fn
 
@@ -857,9 +840,10 @@ def eval_block(order, fused, coordinate_names, points, parameters=None) -> np.nd
     (N, d) points array, as a (K, N) block, from one call of the stacked
     code. Raises nothing for a point: a column is non-finite wherever the
     scalar code raises at that point, and may be non-finite where it does
-    not (an overflowed temp that the scalar code drops), so a caller re-runs
-    the scalar code at a non-finite column. Elsewhere each entry equals the
-    scalar code's to the bit."""
+    not (a NaN from inf - inf, 0*inf or inf/inf that the scalar power turns
+    into 1 as a base^0 or a 1^exponent), so a caller re-runs the scalar code
+    at a non-finite column and keeps its values. Elsewhere each entry equals
+    the scalar code's to the bit."""
     names = tuple(coordinate_names)
     points = np.asarray(points, dtype=float)
     if points.shape[-1] != len(names):

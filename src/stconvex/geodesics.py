@@ -170,7 +170,6 @@ class MarginReport:
     margins: tuple[float, ...]
     min_margin: float
     argmin_lambda: float
-    argmin_point: Point
     c: float
     tolerance: float
     initial_class: VectorClass
@@ -200,7 +199,6 @@ def convexity_along_curve(f: ex.ScalarField, trajectory: Trajectory, c: float,
         margins=tuple(margins),
         min_margin=margins[idx],
         argmin_lambda=trajectory.samples[idx][0],
-        argmin_point=trajectory.samples[idx][1].position,
         c=c,
         tolerance=tolerance,
         initial_class=initial_class,

@@ -288,8 +288,9 @@ class MetricEvaluator:
         each fused set and one stacked eigvalsh. A row that fails the guard,
         the cap or the signature, or whose stacked values are not finite,
         runs through the single-point call in row order: the first such row
-        raises the single-point error, and a row that passes there (an
-        overflow the scalar code drops) takes its values from that call."""
+        raises the single-point error, and a row that passes there (a NaN
+        the scalar power turns into 1, as NaN^0 or 1^NaN) takes its values
+        from that call."""
         if points.shape[-1] != self.dim:
             raise ValueError(f"point has {points.shape[-1]} coordinates, chart has {self.dim}")
         loci = ex.eval_block(0, self._loci, self.names, points, self.params)

@@ -129,6 +129,31 @@ def test_interval_defective_pencil(rng):
         assert interval.hi == pytest.approx(c_star, abs=1e-7)
 
 
+def _boost(axis, rho):
+    b = np.eye(4)
+    b[0, 0] = b[axis, axis] = math.cosh(rho)
+    b[0, axis] = b[axis, 0] = math.sinh(rho)
+    return b
+
+
+def test_interval_midpoint_probe_keeps_a_near_degenerate_interval():
+    """H = W^T H' W and G = W^T eta W, W = B_x(rho1) B_y(rho2) diag(s), with
+    H' = diag(-a, a(1+delta), a(1+delta)u2, a(1+delta)u3) and H'_01 =
+    k delta a: an admissible set about 1e-8 wide above c = a, whose computed
+    upper root fails its own PSD test. Only the midpoint probe between the
+    two lowest clipped roots passes there; without the midpoints hi
+    collapses onto lo."""
+    a, delta, k = 1.2106395024753185, 3.6969228162420687e-09, 0.5582010787432723
+    u2, u3 = 1.769562995095676, 2.208086889392328
+    s = [0.8164904773152224, 3.4879473221368635, 3.3250347307048997, 1.810126597027613]
+    hp = np.diag([-a, a * (1 + delta), a * (1 + delta) * u2, a * (1 + delta) * u3])
+    hp[0, 1] = hp[1, 0] = k * delta * a
+    w = _boost(1, -2.9429508062869836) @ _boost(2, -3.8614737885869257) @ np.diag(s)
+    interval = admissible_c_interval(w.T @ hp @ w, w.T @ ETA @ w)
+    assert interval is not None
+    assert interval.hi - interval.lo > 1e-9 * interval.hi
+
+
 def test_intersect_ends_touch_within_resolution():
     a = CInterval(0.5, 1.0)
     touching = a.intersect(CInterval(1.0 + 5e-10, 2.0))
@@ -727,7 +752,7 @@ def test_fields_of_one_shape_name_their_own_text_and_point():
     code, the stacked code and a certify chunk's point-by-point re-run."""
     names = MINK.coordinate_names
     fields = [MINK.field(f"log({a} - x) + 0.5*y^2") for a in (0.25, 0.75)]
-    assert compile_jet2(fields[0].ast, names).__code__ is compile_jet2(fields[1].ast, names).__code__
+    assert compile_jet2(fields[0].ast, names).func is compile_jet2(fields[1].ast, names).func
     query = ConvexityQuery(region=BOX, samples_per_axis=5)
     points = np.array([p.coordinates for p in grid_points(query)])
     for field, x in zip(fields, (0.5, 1.0)):

@@ -665,14 +665,16 @@ def test_compiled_code_cache_is_bounded():
 
 
 def test_compiled_parameters_bind_as_arguments():
-    """The shared code takes the parameter values before the coordinates,
-    and compile_jet1 returns it bound to the values it was given."""
+    """The shared code takes the AST, its literal values and the parameter
+    values before the coordinates, and compile_jet1 returns it bound to the
+    values it was given."""
     ast = parse("2*M/r", ("r", "M"))
     fn = compile_jet1(ast, ("r",), {"M": 1.5})
     value, gradient = fn(2.0)
     assert value == 1.5
     assert gradient[0] == pytest.approx(-0.75)
-    assert fn.func(3.0, 2.0) == compile_jet1(ast, ("r",), {"M": 3.0})(2.0) == (3.0, (-1.5,))
+    unbound = fn.func(*fn.args[:-1], 3.0, 2.0)
+    assert unbound == compile_jet1(ast, ("r",), {"M": 3.0})(2.0) == (3.0, (-1.5,))
 
 
 def _flat_bits(result):

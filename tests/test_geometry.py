@@ -569,6 +569,33 @@ def test_unchecked_stacks_equal_unchecked_single_points_to_the_bit(model, box):
             evaluator.metric_at(points)
 
 
+@pytest.mark.parametrize("text", ["(1e300*1e300 - 1e300*1e300)^0 + x^2",
+                                  "1^(1e300*1e300 - 1e300*1e300) + x"],
+                         ids=["nan-to-the-zero", "one-to-the-nan"])
+def test_stacked_rows_that_are_nan_take_their_single_point_values(text):
+    """inf - inf is NaN, which the scalar power turns finite (NaN^0 = 1 and
+    1^NaN = 1, as IEEE pow does) while the array helper keeps it NaN: every
+    stacked row is then NaN, and the stacked jet and metric take each row's
+    values from its single-point call."""
+    model = SpacetimeModel.from_components("nan-power", ("t", "x"), {(0, 0): "-1", (1, 1): text})
+    names, points = model.coordinate_names, np.array([(0.0, 0.5), (0.3, 1.0), (-0.2, 2.0)])
+    ast = model.field(text).ast
+    assert np.isnan(ex.eval_block(2, (ast,), names, points)).any(axis=0).all()
+    jets = eval_jet2(ast, names, points)
+    evaluator = geometry.evaluator_for(model)
+    for checks in (True, False):
+        metric = evaluator.metric_at(points, checks)
+        for row, coords in enumerate(points):
+            single = evaluator.metric_at(Point(coords), checks)
+            assert _bits(metric.g[row]) == _bits(single.g)
+            assert _bits(metric.first_derivatives[row]) == _bits(single.first_derivatives)
+    for row, coords in enumerate(points.tolist()):
+        alone = eval_jet2(ast, names, coords)
+        assert float.hex(jets.value[row]) == float.hex(alone.value)
+        assert _bits(jets.gradient[row]) == _bits(alone.gradient)
+        assert _bits(jets.hessian[row]) == _bits(alone.hessian)
+
+
 def test_only_a_two_dimensional_array_is_a_stack():
     """A 1-D coordinate array is refused, not read as a stack of d rows."""
     coords = np.array([1.3, 0.8, 1.1, 0.4])
