@@ -83,8 +83,8 @@ def hessian_signature(h: np.ndarray, tol: float = PSD_TOLERANCE
 
     H is one (d, d) matrix, giving one descriptor, or an (N, d, d) stack,
     giving the (negative, zero, positive) count arrays, each (N,), from one
-    stacked eigvalsh call; a single matrix is the N = 1 case of the same
-    computation. ValueError is raised for a tol that is not finite and >= 0.
+    stacked eigvalsh call, a single matrix being the N = 1 case. Any other
+    shape, or a tol that is not finite and >= 0, raises ValueError.
     """
     _check_oracle_settings(tol)
     counts = _sign_counts(np.linalg.eigvalsh(_as_stack(h)), tol)
@@ -104,6 +104,8 @@ def _check_oracle_settings(tol, ceiling=C_SEARCH_CEILING):
 def _as_stack(m) -> np.ndarray:
     """A (d, d) matrix or an (N, d, d) stack as an (N, d, d) float array."""
     m = np.asarray(m, dtype=float)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"a matrix must be (d, d) or an (N, d, d) stack, not {m.shape}")
     return m.reshape(-1, *m.shape[-2:])
 
 
@@ -135,14 +137,17 @@ def admissible_c_interval(h: np.ndarray, g: np.ndarray, tol: float = PSD_TOLERAN
 
     H - cG passes when its smallest eigenvalue is >= -tol (||H|| + c ||G||),
     spectral norms: by Weyl's inequality rounding moves it by that order.
-    The probes are 0, the real parts of the d pencil eigenvalues, sorted and
-    clipped to [0, ceiling], the ceiling, and the midpoints between them, all
-    tested in one stacked eigvalsh call; lo and hi are the extreme probes
-    that pass, and ceiling_hit means hi is the ceiling. Ends are accurate to
-    1e-9 relative to max |pencil root| when the pencil is diagonalizable and
-    to about 1e-7 at a defective root, where eigvals itself is only accurate
-    to sqrt(eps). G must be Lorentzian; ValueError is raised for a tol that
-    is not finite and >= 0 or a ceiling that is not finite and > 0.
+    If H - c*G is definite, every pencil root is real, and a root lies below
+    c* exactly when its eigenvector v has v.Gv < 0: for a Lorentzian G that is
+    one root, so the set is [roots[0], roots[1]] of the sorted roots. Seven
+    probes (d + 3 at d = 4) are tested in one stacked eigvalsh call: 0, the
+    roots' real parts, sorted and clipped to [0, ceiling], the ceiling, and
+    the two lowest clipped roots' midpoint, which passes where rounding fails
+    a near-degenerate set's computed roots[1]. lo and hi are the extreme
+    probes that pass; ceiling_hit means hi is the ceiling. Ends are accurate
+    to 1e-9 relative to max |pencil root| when the pencil is diagonalizable
+    and to about 1e-7 at a defective root, where eigvals itself is only
+    accurate to sqrt(eps).
 
     H and G are (d, d) matrices, giving one result, or (N, d, d) stacks of
     N pencils, giving the (N,) arrays (lo, hi), NaN where the interval is
@@ -150,28 +155,29 @@ def admissible_c_interval(h: np.ndarray, g: np.ndarray, tol: float = PSD_TOLERAN
     runs once for the whole stack, and a single pencil is the N = 1 case.
     Every row is computed as it would be alone, so a stack's rows equal the
     per-pencil results exactly. NonLorentzianMetric is raised when any row's
-    G is not Lorentzian.
+    G is not Lorentzian, and ValueError for H and G of different shapes (a
+    stack with one matrix), a tol that is not finite and >= 0 or a ceiling
+    that is not finite and > 0.
     """
     _check_oracle_settings(tol, ceiling)
     hs, gs = _as_stack(h), _as_stack(g)
+    if np.shape(h) != np.shape(g):
+        raise ValueError(f"H is {np.shape(h)} and G is {np.shape(g)}: they must have one shape")
     g_eigenvalues = np.linalg.eigvalsh(gs)
     negative, zero, _ = _sign_counts(g_eigenvalues)
     if np.any((negative != 1) | (zero != 0)):
         raise NonLorentzianMetric("the matrix supplied as the metric is not Lorentzian")
     g_norms = np.maximum(-g_eigenvalues[:, 0], g_eigenvalues[:, -1])
 
-    # An endpoint of the admissible set is a c where H - cG turns singular: a
-    # pencil eigenvalue. A defective root comes back as a near-real complex
-    # pair, so every eigenvalue's real part is a candidate. A root outside
-    # [0, ceiling] is clipped onto an end, and a repeated probe tests the same
+    # A defective root comes back as a near-real complex pair, so every root's
+    # real part is a candidate end. A clipped or repeated probe tests the same
     # matrix again, so it passes or fails with it.
     roots = np.sort(np.linalg.eigvals(np.linalg.solve(gs, hs)).real, axis=-1)
     scales = np.maximum(-roots[:, 0], roots[:, -1])
-    # the d + 2 probes and the d + 1 midpoints between them, ascending, in one stacked
-    # call; the feasible set is an interval, so its extreme feasible probes are its ends
-    cs = np.empty((len(roots), 2 * roots.shape[1] + 3))
-    cs[:, 0], cs[:, 2:-2:2], cs[:, -1] = 0.0, np.clip(roots, 0.0, ceiling), ceiling
-    cs[:, 1::2] = 0.5 * (cs[:, :-1:2] + cs[:, 2::2])
+    # columns: 0, the clipped roots, the ceiling, the two lowest roots' midpoint
+    cs = np.zeros((len(roots), roots.shape[1] + 3))
+    cs[:, 1:-2], cs[:, -2] = np.clip(roots, 0.0, ceiling), ceiling
+    cs[:, -1] = 0.5 * (cs[:, 1] + cs[:, 2])
     eigenvalues = np.linalg.eigvalsh(hs[:, None] - cs[:, :, None, None] * gs[:, None])
     # column 0 is c = 0: H itself
     h_norms = np.maximum(-eigenvalues[:, 0, 0], eigenvalues[:, 0, -1])

@@ -140,9 +140,9 @@ def test_interval_midpoint_probe_keeps_a_near_degenerate_interval():
     """H = W^T H' W and G = W^T eta W, W = B_x(rho1) B_y(rho2) diag(s), with
     H' = diag(-a, a(1+delta), a(1+delta)u2, a(1+delta)u3) and H'_01 =
     k delta a: an admissible set about 1e-8 wide above c = a, whose computed
-    upper root fails its own PSD test. Only the midpoint probe between the
-    two lowest clipped roots passes there; without the midpoints hi
-    collapses onto lo."""
+    upper root fails its own PSD test. Only the probe at the midpoint of the
+    two lowest clipped roots passes there, the seventh of the oracle's seven
+    probes; without it hi collapses onto lo."""
     a, delta, k = 1.2106395024753185, 3.6969228162420687e-09, 0.5582010787432723
     u2, u3 = 1.769562995095676, 2.208086889392328
     s = [0.8164904773152224, 3.4879473221368635, 3.3250347307048997, 1.810126597027613]
@@ -230,8 +230,9 @@ def test_signature_indefinite():
 # --------------------------------------------------------------------------
 
 def _pencil_stack(rng):
-    """(H, G) rows of every kind the probe rules distinguish, with G either
-    eta or a random non-diagonal Lorentzian metric."""
+    """(H, G) rows of every kind the seven probes (0, the clipped roots, the
+    ceiling, the two lowest roots' midpoint) distinguish, with G either eta or
+    a random non-diagonal Lorentzian metric."""
     k = np.array([1.0, 1.0, 0.0, 0.0])
     gk = ETA @ k
     hs, gs = [], []
@@ -335,6 +336,111 @@ def test_non_lorentzian_row_in_a_stack_raises():
     gs = np.array([ETA, ETA, np.eye(4), ETA])
     with pytest.raises(NonLorentzianMetric):
         admissible_c_interval(np.array([ETA] * 4), gs)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: hessian_signature(np.array([[ETA, ETA]])), "must be"),
+    (lambda: admissible_c_interval(np.array([[ETA, ETA]]), np.array([[ETA, ETA]])), "must be"),
+    (lambda: admissible_c_interval(ETA, np.array([ETA] * 3)), "one shape"),
+    (lambda: admissible_c_interval(np.array([ETA] * 3), ETA), "one shape"),
+    (lambda: admissible_c_interval(ETA[None], ETA), "one shape"),
+], ids=["signature-4d", "interval-4d", "interval-one-h-three-g",
+        "interval-three-h-one-g", "interval-stack-of-one-with-a-matrix"])
+def test_oracles_refuse_shapes_outside_the_contract(call, message):
+    """Only (d, d) or (N, d, d) matrices, with H and G of one shape: a 4-D
+    stack, or one H against three G, gave one result, for row 0 alone."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def _eleven_probe_interval(hs, gs, tol=1e-10, ceiling=1e3):
+    """Reference (lo, hi) arrays from 2d + 3 probes, eleven at d = 4: 0, the
+    d clipped roots, the ceiling and the d + 1 midpoints between them, with
+    admissible_c_interval's PSD test and emptiness rule."""
+    g_eigenvalues = np.linalg.eigvalsh(gs)
+    g_norms = np.maximum(-g_eigenvalues[:, 0], g_eigenvalues[:, -1])
+    roots = np.sort(np.linalg.eigvals(np.linalg.solve(gs, hs)).real, axis=-1)
+    scales = np.maximum(-roots[:, 0], roots[:, -1])
+    cs = np.empty((len(roots), 2 * roots.shape[1] + 3))
+    cs[:, 0], cs[:, 2:-2:2], cs[:, -1] = 0.0, np.clip(roots, 0.0, ceiling), ceiling
+    cs[:, 1::2] = 0.5 * (cs[:, :-1:2] + cs[:, 2::2])
+    eigenvalues = np.linalg.eigvalsh(hs[:, None] - cs[:, :, None, None] * gs[:, None])
+    h_norms = np.maximum(-eigenvalues[:, 0, 0], eigenvalues[:, 0, -1])
+    feasible = eigenvalues[:, :, 0] >= -tol * (h_norms[:, None] + cs * g_norms[:, None])
+    lo = np.where(feasible, cs, math.inf).min(axis=1)
+    hi = np.where(feasible, cs, -math.inf).max(axis=1)
+    empty = hi <= ENDPOINT_RESOLUTION * scales
+    return np.where(empty, math.nan, lo), np.where(empty, math.nan, hi)
+
+
+def _boosted_pencils(rng, family, rapidity, n=400):
+    """n pencils (W^T H' W, W^T G' W), W = B_x(rho1) B_y(rho2) diag(s) with
+    |rho| <= rapidity and s in [0.5, 4.5], or W = I for "random". A boost
+    keeps eta, so G stays diag(s) eta diag(s) while H's entries grow like
+    exp(2 (|rho1| + |rho2|)). H' by family:
+    - "random" (G' = eta or a random Lorentzian metric) and "boosted-random"
+      (G' = eta): c* G' + R R^T, which admits c*, in three rows of four,
+      else random symmetric, mostly empty;
+    - "boosted-defective": the single admissible c* of
+      test_interval_defective_pencil's family;
+    - "boosted-near-degenerate": a set about delta a wide above c = a, the
+      family of test_interval_midpoint_probe_keeps_a_near_degenerate_interval."""
+    gk = ETA @ np.array([1.0, 1.0, 0.0, 0.0])
+    hs, gs = [], []
+    for i in range(n):
+        w, g = np.eye(4), ETA
+        if family != "random":
+            w = (_boost(1, rng.uniform(-rapidity, rapidity))
+                 @ _boost(2, rng.uniform(-rapidity, rapidity)) @ np.diag(rng.uniform(0.5, 4.5, 4)))
+        elif i % 2:
+            g = random_lorentzian(rng, 4)
+        if family in ("random", "boosted-random"):
+            r = rng.uniform(-1.0, 1.0, (4, 4))
+            hp = rng.uniform(0.2, 2.0) * g + r @ r.T if i % 4 else _random_symmetric(rng)
+        elif family == "boosted-defective":
+            c_star, a, s = rng.uniform(0.2, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+            hp = c_star * ETA + a * np.outer(gk, gk) + np.diag([0.0, 0.0, s, s])
+        else:
+            a, delta, k = rng.uniform(0.2, 2.0), 10.0 ** rng.uniform(-10, -7), rng.uniform(0, 1)
+            u2, u3 = rng.uniform(1.0, 3.0, 2)
+            hp = np.diag([-a, a * (1 + delta), a * (1 + delta) * u2, a * (1 + delta) * u3])
+            hp[0, 1] = hp[1, 0] = k * delta * a
+        hs.append(w.T @ hp @ w)
+        gs.append(w.T @ g @ w)
+    return np.array(hs), np.array(gs)
+
+
+_FAMILIES = ["random", "boosted-random", "boosted-defective", "boosted-near-degenerate"]
+
+
+@pytest.mark.parametrize("ceiling", [8.0, 1e3])
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_seven_probes_equal_the_eleven_probe_reference(rng, family, ceiling):
+    """The four midpoints the reference probes and the oracle does not never
+    set an end here: with rapidities up to 2, (lo, hi) equal the reference's
+    under float.hex on every row, empty rows included."""
+    hs, gs = _boosted_pencils(rng, family, rapidity=2.0)
+    lo, hi = admissible_c_interval(hs, gs, ceiling=ceiling)
+    ref_lo, ref_hi = _eleven_probe_interval(hs, gs, ceiling=ceiling)
+    assert [x.hex() for x in lo.tolist() + hi.tolist()] \
+        == [x.hex() for x in ref_lo.tolist() + ref_hi.tolist()]
+    assert np.isnan(lo).mean() < 0.3
+
+
+@pytest.mark.parametrize("family", _FAMILIES[1:])
+def test_seven_probe_interval_lies_inside_the_eleven_probe_one(rng, family):
+    """The seven probes are seven of the eleven (the two lowest roots'
+    midpoint is the same sum), so the interval can only shrink. It does
+    where the boost makes ||H|| large against the pencil's own scale: with
+    rapidities up to 4, the tolerance tol ||H|| then admits a c between
+    roots that the PSD test passes by rounding's allowance alone, and the
+    eleven-probe reference can take such a midpoint as an end."""
+    hs, gs = _boosted_pencils(rng, family, rapidity=4.0)
+    lo, hi = admissible_c_interval(hs, gs, ceiling=8.0)
+    ref_lo, ref_hi = _eleven_probe_interval(hs, gs, ceiling=8.0)
+    kept = ~np.isnan(lo)
+    assert not (kept & np.isnan(ref_lo)).any()
+    assert (lo[kept] >= ref_lo[kept]).all() and (hi[kept] <= ref_hi[kept]).all()
 
 
 # --------------------------------------------------------------------------
