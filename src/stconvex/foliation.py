@@ -17,6 +17,7 @@ expanding Milne wedge (f = tau) have Tr K = 3/tau.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,8 +26,8 @@ import numpy as np
 from . import expressions as ex
 from .errors import (NonSpacelikeSlice, NotBlockForm, NullGradient, OutOfDomain,
                      WrongSignature)
-from .geometry import (NULL_TOL, SIGNATURE_TOL, MetricAt, Point, SpacetimeModel,
-                       TangentVector, _inverse_and_christoffels, _sign_counts,
+from .geometry import (SIGNATURE_TOL, MetricAt, Point, SpacetimeModel,
+                       TangentVector, _inverse_and_christoffels, _is_null, _sign_counts,
                        covariant_hessian, covariant_hessian_from, eval_metric,
                        evaluator_for, field_jet)
 
@@ -49,7 +50,8 @@ class LevelSetFrame:
 
 
 def _gradient_data(f, model, p, metric_at=None):
-    """(jet, metric_at, eps, norm, raised gradient) shared by level-set code."""
+    """(jet, metric_at, eps, norm, unit normal n = -eps g^-1 df / norm) shared
+    by level-set code."""
     if metric_at is None:
         metric_at = eval_metric(model, p)
     jet = field_jet(f, model, p)
@@ -57,18 +59,17 @@ def _gradient_data(f, model, p, metric_at=None):
     q = float(jet.gradient @ grad_up)
     # null relative to the Cauchy-Schwarz bound |q| <= |df| |g^-1 df|, which
     # scales as q does under f -> lambda f and g -> s g; a zero gradient is null
-    if abs(q) <= NULL_TOL * math.sqrt(float(jet.gradient @ jet.gradient)
-                                      * float(grad_up @ grad_up)):
+    if _is_null(q, jet.gradient, grad_up):
         raise NullGradient(f"grad f . grad f = {q:.3e} at {p.coordinates}; "
                            "the level set is degenerate there")
     eps = 1 if q > 0 else -1
-    return jet, metric_at, eps, float(np.sqrt(eps * q)), grad_up
+    norm = float(np.sqrt(eps * q))
+    return jet, metric_at, eps, norm, -eps * grad_up / norm
 
 
 def level_set_frame(f: ex.ScalarField, model: SpacetimeModel, p: Point,
                     metric_at: MetricAt | None = None) -> LevelSetFrame:
-    jet, metric_at, eps, norm, grad_up = _gradient_data(f, model, p, metric_at)
-    n = -eps * grad_up / norm
+    jet, metric_at, eps, norm, n = _gradient_data(f, model, p, metric_at)
     basis = _tangent_basis(metric_at.g, n)
     return LevelSetFrame(
         point=p, epsilon=eps, norm=norm,
@@ -82,7 +83,10 @@ def _tangent_basis(g, n):
     as the rows of one matrix with their n-components removed in one step.
     Each step takes the remaining row with the largest |g-rejection norm| (the
     first of equals wins, so the basis is deterministic) and removes the new
-    vector from every row. Returns the basis as the rows of a (d - 1, d) array."""
+    vector from every row. When every remaining row is null, the step takes
+    r_i + sign r_j for the remaining pair with the largest |g(r_i, r_j)| (the
+    first of equals), whose g-norm^2 is 2 |g(r_i, r_j)|. Returns the basis as
+    the rows of a (d - 1, d) array."""
     d = g.shape[0]
     gn = g @ n
     rows = np.eye(d) - np.multiply.outer(gn / float(n @ gn), n)
@@ -93,14 +97,20 @@ def _tangent_basis(g, n):
         rows_g = rows @ g
         w2 = np.einsum("ij,ij->i", rows_g, rows).tolist()
         k = max(remaining, key=lambda i: abs(w2[i]))
-        if abs(w2[k]) < floor:
-            raise WrongSignature("could not build a non-null tangent basis from "
-                                 "coordinate seeds at this point")
+        r, w = rows[k], w2[k]
+        if abs(w) < floor:
+            cross = rows_g @ rows.T
+            k, j = max(itertools.combinations(remaining, 2), key=lambda ij: abs(cross[ij]))
+            r = rows[k] + math.copysign(1.0, cross[k, j]) * rows[j]
+            w = float(r @ g @ r)
+            if abs(w) < floor:
+                raise WrongSignature("could not build a non-null tangent basis from "
+                                     "coordinate seeds at this point")
         remaining.remove(k)
-        b = basis[step] = rows[k] / math.sqrt(abs(w2[k]))
+        b = basis[step] = r / math.sqrt(abs(w))
         if step < d - 2:
-            # r -> r - g(r, b) g(b, b) b, where g(b, b) is the sign of w2
-            rows -= np.multiply.outer((rows_g @ b) * math.copysign(1.0, w2[k]), b)
+            # r -> r - g(r, b) g(b, b) b, where g(b, b) is the sign of w
+            rows -= np.multiply.outer((rows_g @ b) * math.copysign(1.0, w), b)
     return basis
 
 
@@ -116,9 +126,8 @@ def second_fundamental_form(f: ex.ScalarField, model: SpacetimeModel, p: Point) 
 def mean_curvature(f: ex.ScalarField, model: SpacetimeModel, p: Point) -> float:
     """Tr K traced with the induced inverse metric h^{mu nu} = g^{mu nu} -
     eps n^mu n^nu (the ambient trace would double-count the normal)."""
-    jet, metric_at, eps, norm, grad_up = _gradient_data(f, model, p)
+    jet, metric_at, eps, norm, n = _gradient_data(f, model, p)
     hess = covariant_hessian_from(jet.gradient, jet.hessian, metric_at.christoffels)
-    n = -eps * grad_up / norm
     h_up = metric_at.g_inverse - eps * np.outer(n, n)
     return float(-np.einsum("mn,mn->", h_up, hess) / norm)
 

@@ -39,6 +39,11 @@ LOCUS_GUARD = 1e-6
 NULL_TOL = 1e-10
 
 
+def _is_null(q, a, b) -> bool:
+    """The null test for q = a . b: |q| <= NULL_TOL |a| |b|."""
+    return abs(q) <= NULL_TOL * math.sqrt(float(a @ a) * float(b @ b))
+
+
 @dataclass(frozen=True)
 class Point:
     """An event: ordered chart coordinates."""
@@ -302,10 +307,9 @@ class MetricEvaluator:
         g, dg = columns[:, self._g_index], columns[:, self._dg_index]
         if checks:
             # eigvalsh refuses NaN: a flagged row is re-run anyway
-            eigenvalues = np.linalg.eigvalsh(np.where(rerun[:, None, None], np.eye(self.dim), g))
-            magnitudes = np.abs(eigenvalues)
-            rerun |= magnitudes.min(axis=-1) <= SIGNATURE_TOL * magnitudes.max(axis=-1)
-            rerun |= np.add.reduce(eigenvalues < 0.0, axis=-1) != 1
+            negative, zero, _ = _sign_counts(
+                np.linalg.eigvalsh(np.where(rerun[:, None, None], np.eye(self.dim), g)))
+            rerun |= (zero > 0) | (negative != 1)
         for row in np.flatnonzero(rerun).tolist():
             single = self.metric_at(Point(points[row]), checks)
             g[row], dg[row] = single.g, single.first_derivatives
@@ -401,6 +405,6 @@ def classify_vector(metric_at: MetricAt, v: TangentVector) -> VectorClass:
         raise ValueError("vector dimension does not match the chart")
     lowered = comps @ metric_at.g
     q = float(lowered @ comps)
-    if abs(q) <= NULL_TOL * math.sqrt(float(comps @ comps) * float(lowered @ lowered)):
+    if _is_null(q, comps, lowered):
         return VectorClass.NULL
     return VectorClass.TIMELIKE if q < 0 else VectorClass.SPACELIKE

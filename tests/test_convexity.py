@@ -13,6 +13,7 @@ from stconvex import (CInterval, ConvexityQuery, DomainError, NonLorentzianMetri
                       canonical_field_spherical, certify_region, covariant_hessian,
                       hessian_signature, level_set_frame)
 from stconvex import expressions as ex
+from stconvex import geometry
 from stconvex.convexity import (ENDPOINT_RESOLUTION, GRID_CHUNK, SignatureDescriptor,
                                 _intersect_rows, grid_points)
 from stconvex.expressions import compile_jet2, eval_jet2, to_source
@@ -663,6 +664,16 @@ def test_grid_point_suffix_keeps_the_exception(field, region, error, attribute, 
     with pytest.raises(error) as direct:  # the same error, raised off the grid
         covariant_hessian(field, MINK_SPH, point)
     assert str(info.value) == f"{direct.value} [at grid point {point.coordinates}]"
+
+
+def test_a_stacked_error_that_no_point_repeats_stops_the_scan(monkeypatch):
+    """If a stacked call raises and every point then passes alone, the scan
+    raises the stacked error as it is, rather than carry on."""
+    def stacked_only(evaluator, points, checks):
+        raise SingularMetric("raised by the stack alone")
+    monkeypatch.setattr(geometry.MetricEvaluator, "_metric_stack", stacked_only)
+    with pytest.raises(SingularMetric, match="^raised by the stack alone$"):
+        certify_region(MINK, canonical_field(0.5), ConvexityQuery(region=BOX, samples_per_axis=2))
 
 
 def test_query_axis_count_must_match_the_chart():

@@ -516,6 +516,23 @@ def test_stacked_code_turns_no_failure_finite(text):
     assert errors and str(stacked.value) == str(errors[0])
 
 
+def test_stacked_power_that_overflows_takes_each_base_alone():
+    """x^200 overflows at x = 100, so the stacked power takes each base
+    through the scalar power: the stack raises that point's own error, and
+    the x = 1.5 column keeps its single-point bits."""
+    names = ("t", "x")
+    ast = parse("x^200", names)
+    points = np.array([(0.0, 1.5), (0.0, 100.0)])
+    with pytest.raises(DomainError) as alone:
+        eval_jet2(ast, names, (0.0, 100.0))
+    with pytest.raises(DomainError) as stacked:
+        eval_jet2(ast, names, points)
+    assert str(stacked.value) == str(alone.value)
+    jet = eval_jet2(ast, names, (0.0, 1.5))
+    single = np.concatenate([[jet.value], jet.gradient, jet.hessian.ravel()])
+    assert eval_block(2, (ast,), names, points)[:, 0].tobytes() == single.tobytes()
+
+
 def test_equal_asts_share_compiled_code():
     """A re-parsed equal expression hits the cache, and so does a new value
     of a parameter the expression does not reference."""
@@ -770,6 +787,7 @@ def test_signed_zero_literals_are_distinct_keys():
     assert compile_value(BinOp("*", Num(0.0), x), ("x",))(2.0).hex() == "0x0.0p+0"
     assert compile_value(BinOp("*", Num(-0.0), x), ("x",))(2.0).hex() == "-0x0.0p+0"
     assert Num(0.0) != Num(-0.0) and Num(0.0) == Num(0.0) and Num(-0.0) == Num(-0.0)
+    assert Num(0.0).__eq__(x) is NotImplemented and Num(0.0) != x
     assert parse("-0.0*x", ("x",)) == BinOp("*", Neg(Num(0.0)), x)  # the parser makes no -0.0
 
 

@@ -22,6 +22,10 @@ MINK = CAT.model("minkowski-cartesian")
 SCHW_IN = CAT.model("schwarzschild-interior")
 SCHW = CAT.model("schwarzschild-exterior")
 MILNE = CAT.model("milne")
+#: flat, with the coordinate seeds u and v both null
+NULL_SEEDS = SpacetimeModel.from_components(
+    "null-seeds", ("u", "v", "x", "y"), {(0, 1): "-0.5", (2, 2): "1", (3, 3): "1"},
+    sample_box=((-1.0, 1.0),) * 4)
 
 
 # --------------------------------------------------------------------------
@@ -107,6 +111,13 @@ def test_tangent_basis_ties_go_to_the_first_seed():
         assert np.array_equal(greedy_loop_basis(g, n)[0], expected)
 
 
+def test_tangent_basis_refuses_a_span_of_null_seeds():
+    """With g = diag(-1, 1, 0, 0) and n = e_t, the seeds left after e_x are
+    null and g-orthogonal to each other, so no pair spans a non-null vector."""
+    with pytest.raises(WrongSignature, match="could not build a non-null tangent basis"):
+        _tangent_basis(np.diag([-1.0, 1.0, 0.0, 0.0]), np.eye(4)[0])
+
+
 def test_frame_spacelike_gradient():
     frame = level_set_frame(MINK.field("x"), MINK, Point((0.0, 1.0, 0.0, 0.0)))
     assert frame.epsilon == 1
@@ -174,6 +185,7 @@ def test_trace_of_form_equals_mean_curvature(rng):
         (SCHW_IN, SCHW_IN.field("r")),
         (SCHW, SCHW.field("r^2 + t")),
         (MILNE, MILNE.field("tau")),
+        (NULL_SEEDS, NULL_SEEDS.field("x")),
     )
     for model, f in cases:
         for _ in range(4):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stconvex import (ConvexityQuery, CurveSpec, DomainError, NotClosed, OutOfDomain,
-                      SingularMetric, SpacetimeModel, StepSizeInvalid, VectorClass,
+                      SingularMetric, SpacetimeModel, StepSizeInvalid, Trajectory, VectorClass,
                       barrier_scan, builtin_models, canonical_field, certify_region,
                       closed_curve_probe, convexity_along_curve, covariant_hessian,
                       eval_metric, integrate_geodesic)
@@ -333,6 +333,12 @@ def test_convexity_along_curve_rejects_non_finite_inputs(c, tolerance):
     trajectory = integrate_geodesic(MINK, state, (0.0, 1.0), step=0.1)
     with pytest.raises(ValueError, match="must both be finite"):
         convexity_along_curve(canonical_field(1.0), trajectory, c, tolerance)
+
+
+def test_convexity_along_curve_rejects_an_empty_trajectory():
+    empty = Trajectory(MINK, samples=(), norm_history=(), accelerations=(), step_size=0.1)
+    with pytest.raises(ValueError, match="^empty trajectory$"):
+        convexity_along_curve(canonical_field(1.0), empty, 1.0)
 
 
 @NON_FINITE_MARGIN_INPUTS
