@@ -27,7 +27,7 @@ from . import expressions as ex
 from .errors import (NonSpacelikeSlice, NotBlockForm, NullGradient, OutOfDomain,
                      WrongSignature)
 from .geometry import (SIGNATURE_TOL, MetricAt, Point, SpacetimeModel,
-                       TangentVector, _inverse_and_christoffels, _is_null, _sign_counts,
+                       TangentVector, _inverse_and_christoffels, _is_null, _lorentzian_2x2,
                        covariant_hessian, covariant_hessian_from, eval_metric,
                        evaluator_for, field_jet)
 
@@ -207,8 +207,8 @@ def null_expansions(model: SpacetimeModel, base_point) -> tuple[float, float]:
         raise ValueError("base_point must supply exactly the two base coordinates")
     params = model.parameters
     g_aa, g_ab, g_bb = ex.compile_value(block, base_names, params)(*values)
-    negative, zero, _ = _sign_counts(np.linalg.eigvalsh([[g_aa, g_ab], [g_ab, g_bb]]))
-    if (negative, zero) != (1, 0):
+    minus_det = _lorentzian_2x2(g_aa, g_ab, g_bb)
+    if minus_det is None:
         raise WrongSignature(f"base block is not Lorentzian at {values}")
     f_a, f_b = bf.future
     low_a, low_b = g_aa * f_a + g_ab * f_b, g_ab * f_a + g_bb * f_b  # gamma F
@@ -220,7 +220,7 @@ def null_expansions(model: SpacetimeModel, base_point) -> tuple[float, float]:
         raise OutOfDomain(f"area radius {radius!r} must be positive")
     inv_norm = 1.0 / math.sqrt(-future_norm2)
     along_t = (f_a * dr_a + f_b * dr_b) * inv_norm
-    across = abs(low_a * dr_b - low_b * dr_a) * inv_norm / math.sqrt(g_ab * g_ab - g_aa * g_bb)
+    across = abs(low_a * dr_b - low_b * dr_a) * inv_norm / math.sqrt(minus_det)
     return 2.0 / radius * (along_t + across), 2.0 / radius * (along_t - across)
 
 

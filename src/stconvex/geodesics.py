@@ -114,7 +114,11 @@ def integrate_geodesic(model: SpacetimeModel, s0: GeodesicState,
         m = evaluator.metric_at(point, checks=checks)
         return values, m.g, geodesic_acceleration(m.g, m.first_derivatives, vel)
 
-    n_full = int(np.floor((lam1 - lam0) / step + 1e-12))
+    count = (lam1 - lam0) / step + 1e-12
+    if count == math.inf:
+        raise StepSizeInvalid(f"parameter span {lambda_span!r} with step {step!r} "
+                              "gives a step count that is not finite")
+    n_full = int(np.floor(count))
     remainder = (lam1 - lam0) - n_full * step
     steps = [step] * n_full + ([remainder] if remainder > 1e-12 else [])
 

@@ -11,8 +11,15 @@ as one stack: the metric, its derivatives, g^-1, Gamma and the Hessian then
 carry a leading axis of N, and each row equals the single point's result to
 the bit. A single Point runs the scalar code and never a one-row stack.
 
-All operations here are pure functions of their inputs and safe to evaluate
-concurrently over disjoint points.
+Every operation here is a function of its inputs alone and safe to evaluate
+concurrently over disjoint points. Besides the prepared evaluators, the one
+thing kept between calls is each evaluator's last single-point `metric_at`
+result, which a later call at the same coordinates, bit for bit, gets back
+as the same object (the level-set probes ask for the metric three times at
+each point). Sharing it is safe: a `MetricAt`'s arrays are read-only, its
+lazily built g^-1 and Gamma have the same bits whoever builds them first,
+and the kept entry is replaced in one assignment, so a thread sees the old
+entry or the new one, never half of each.
 """
 
 from __future__ import annotations
@@ -155,7 +162,8 @@ class MetricAt:
     of either (one cached solve), so a caller that never reads them pays
     nothing. Reading either on a singular g raises SingularMetric. For a
     stack, point is the (N, d) coordinate array and every array has a
-    leading axis of N."""
+    leading axis of N. Every array is read-only, since one MetricAt may be
+    handed to every caller at its point (`MetricEvaluator.metric_at`)."""
 
     point: Point | np.ndarray
     g: np.ndarray
@@ -163,11 +171,17 @@ class MetricAt:
     #: (g^{-1}, Gamma) once built
     _connection: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
+    def __post_init__(self):
+        self.g.setflags(write=False)
+        self.first_derivatives.setflags(write=False)
+
     def _solved(self):
         if self._connection is None:
             where = getattr(self.point, "coordinates", self.point)
-            object.__setattr__(self, "_connection", _inverse_and_christoffels(
-                self.g, self.first_derivatives, where))
+            connection = _inverse_and_christoffels(self.g, self.first_derivatives, where)
+            for array in connection:
+                array.setflags(write=False)
+            object.__setattr__(self, "_connection", connection)
         return self._connection
 
     @property
@@ -199,6 +213,27 @@ def _sign_counts(eigenvalues, tol=SIGNATURE_TOL):
     return negative, zero, eigenvalues.shape[-1] - negative - zero
 
 
+def _lorentzian_2x2(g_aa, g_ab, g_bb):
+    """-det of the symmetric block [[g_aa, g_ab], [g_ab, g_bb]] when
+    _sign_counts would find one negative eigenvalue and no zero one, else
+    None; in closed form, with no eigensolver. The eigenvalues are m -+ r
+    with m = (g_aa + g_bb)/2 and r = hypot((g_aa - g_bb)/2, g_ab), so
+    max|lambda| = |m| + r; as |lambda_1| |lambda_2| = |det|, the smaller
+    |lambda| exceeds SIGNATURE_TOL max|lambda| exactly when |det| >
+    SIGNATURE_TOL max|lambda|^2, and the signs differ exactly when -det > 0."""
+    minus_det = g_ab * g_ab - g_aa * g_bb
+    largest = abs((g_aa + g_bb) / 2) + math.hypot((g_aa - g_bb) / 2, g_ab)
+    return minus_det if minus_det > SIGNATURE_TOL * largest * largest else None
+
+
+def _same_floats(a, b) -> bool:
+    """Whether two coordinate tuples hold the same floats, bit for bit as far
+    as a metric can tell: each pair equal (so NaN, which tuple == lets pass
+    when it is the same object, never is) and of the same sign (so 0.0 and
+    -0.0, which == calls equal, are not)."""
+    return all(x == y and math.copysign(1.0, x) == math.copysign(1.0, y) for x, y in zip(a, b))
+
+
 class MetricEvaluator:
     """Prepared evaluator for one model; the hot path for integrators.
 
@@ -207,6 +242,8 @@ class MetricEvaluator:
     scatter into g and dg, and the singular loci, kept apart so that the
     guard fires before a component undefined at a locus can raise. Their
     stacked variants are compiled on the first stacked metric_at call.
+    The last single-point metric_at result is kept as (coordinates,
+    checked, MetricAt).
     """
 
     def __init__(self, model: SpacetimeModel):
@@ -233,6 +270,7 @@ class MetricEvaluator:
         self._dg_index = self._g_index[None, :, :] + 1 + np.arange(d)[:, None, None]
         self._loci = tuple(model.singular_loci)
         self._locus_values = ex.compile_value(self._loci, self.names, self.params)
+        self._kept = ((), True, None)  # no point has zero coordinates
 
     def guard(self, coords):
         """The signed locus-expression values at coords, whose sign change
@@ -260,9 +298,12 @@ class MetricEvaluator:
 
     def metric_at(self, point: Point | np.ndarray, checks=True) -> MetricAt:
         """Metric data at a point: the locus guard, the components, then with
-        checks the condition cap and the signature. An (N, d) coordinate array
-        gives the stacked MetricAt of its rows (`_metric_stack`); an array of
-        any other shape is refused."""
+        checks the condition cap and the signature. A Point whose coordinates
+        equal the last Point's bit for bit (`_same_floats`) gets the same
+        MetricAt back, unless that one was unchecked and this call checks:
+        its arrays are read-only, so sharing it changes no caller's result.
+        An (N, d) coordinate array gives the stacked MetricAt of its rows
+        (`_metric_stack`), never kept; an array of any other shape is refused."""
         if isinstance(point, np.ndarray):
             if point.ndim != 2:
                 raise ValueError(f"a coordinate array must be (N, d), not {point.shape}")
@@ -270,6 +311,10 @@ class MetricEvaluator:
         coords = point.coordinates
         if len(coords) != self.dim:
             raise ValueError(f"point has {len(coords)} coordinates, chart has {self.dim}")
+        kept_coords, kept_checked, kept = self._kept
+        if kept_coords == coords and (kept_checked or not checks) and \
+                _same_floats(kept_coords, coords):
+            return kept
         self.guard(coords)
         g, dg = self.components(coords)
         if checks:
@@ -286,7 +331,9 @@ class MetricEvaluator:
                 raise WrongSignature(
                     f"metric signature ({negative} negative, 0 zero, {self.dim - negative} "
                     f"positive) is not Lorentzian at {coords}")
-        return MetricAt(point, g, dg)
+        result = MetricAt(point, g, dg)
+        self._kept = (coords, bool(checks), result)
+        return result
 
     def _metric_stack(self, points, checks):
         """metric_at at each row of an (N, d) array, from one stacked call of

@@ -581,12 +581,15 @@ _INLINE_TX = '[model]\ncoordinates = t, x\ng[t,t] = "-1"\ng[x,x] = "1"\n'
      "[certify]\nbox[t] = -1, 1\nbox[x] = -1, 1\nsamples_per_axis = 3\n",
      "point (-1.0, 0.0) lies on or within 1e-06 of the singular locus x = 0 "
      "of 'inline' [at grid point (-1.0, 0.0)]"),
+    ("geodesic-probe", GEODESIC_TEMPLATE.format(field=_CANONICAL, velocity="0, 1, 0, 0")
+     .replace("span = 0, 1", "span = 0, 1e300").replace("step = 0.05", "step = 1e-300"),
+     "parameter span (0.0, 1e+300) with step 1e-300 gives a step count that is not finite"),
 ], ids=["stray-quote", "unterminated-quote", "empty-value", "malformed-header",
         "key-outside-section", "empty-key", "duplicate-key", "missing-key", "bad-flag",
         "no-model", "bad-component-key", "no-field", "field-without-source",
         "box-missing-coordinate", "box-one-value", "no-box", "loop-missing-coordinate",
         "span-one-value", "foliate-unknown-coordinate", "slice-without-points",
-        "inline-singular-locus"])
+        "inline-singular-locus", "span-uncountable-steps"])
 def test_config_errors_exit_1_with_their_message(tmp_path, capsys, command, text, message):
     cfg = write(tmp_path, "bad.cfg", text)
     code, out, err = run(capsys, command, "--config", cfg, "--no-timestamp")

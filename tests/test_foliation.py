@@ -1,6 +1,8 @@
 """Level-set extrinsic curvature, barrier scan, null expansions, slices."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -570,6 +572,40 @@ def test_curved_slice_connection_used():
     # D_i D_j cosh(chi) on the unit hyperbolic 3-space equals cosh(chi) h_ij
     h = induced_metric(MILNE, spec, p)
     assert np.abs(ddf - math.cosh(0.8) * h).max() < 1e-10
+
+
+def _probe_bits(points):
+    """Tr K, K and the slice Laplacian at each (model, coordinates), as the
+    level-set probes ask for them: three metric_at calls at each point."""
+    out = []
+    for model, coords, slice_index, f, g in points:
+        p = Point(coords)
+        spec = SliceSpec(model.coordinate_names[slice_index], coords[slice_index])
+        out.append((float.hex(mean_curvature(f, model, p)),
+                    second_fundamental_form(f, model, p).tobytes(),
+                    float.hex(slice_laplacian(g, model, spec, p))))
+    return out
+
+
+def test_probes_in_threads_equal_the_serial_probes_to_the_bit(rng):
+    """Four threads probing disjoint points share each model's evaluator, and
+    so its kept metric, yet every Tr K, K and slice Laplacian has the bits of
+    the same probe made serially."""
+    points = []
+    for model, f, g, slice_index in ((SCHW_IN, "r", "t^2", 1), (MILNE, "tau", "cosh(chi)", 0)):
+        for _ in range(60):
+            coords = random_point_in(model.sample_box, rng)
+            points.append((model, coords, slice_index, model.field(f), model.field(g)))
+    serial = _probe_bits(points)
+    chunks = [points[k::4] for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between probes, not once per chunk
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(_probe_bits, chunks))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == [serial[k::4] for k in range(4)]
 
 
 @pytest.mark.parametrize("call", [

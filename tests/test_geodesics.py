@@ -64,10 +64,12 @@ def test_step_must_be_positive():
 
 
 @pytest.mark.parametrize("span, step", [((0.0, math.inf), 0.1), ((-math.inf, 1.0), 0.1),
-                                        ((0.0, math.nan), 0.1), ((0.0, 1.0), math.inf)])
+                                        ((0.0, math.nan), 0.1), ((0.0, 1.0), math.inf),
+                                        ((0.0, 1e300), 1e-300), ((-1e308, 1e308), 0.1)])
 def test_span_and_step_must_be_finite(span, step):
-    """A span end or step that is not finite is refused before any step,
-    never an OverflowError or a one-sample trajectory."""
+    """A span end, step or step count that is not finite is refused before
+    any step, never an OverflowError or a one-sample trajectory. The count
+    overflows when the quotient does, or the span's width itself."""
     state = GeodesicState.of((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
     with pytest.raises(StepSizeInvalid, match="finite"):
         integrate_geodesic(MINK, state, span, step=step)

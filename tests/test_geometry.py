@@ -3,6 +3,7 @@
 import gc
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -227,6 +228,53 @@ def test_sign_counts_match_the_array_version(rng, tol):
         assert all(c.shape == (len(rows),) for c in counts)
         assert list(zip(*(c.tolist() for c in counts))) == expected
     assert geometry._sign_counts(np.array([0.0, -0.0, 0.0]), tol) == (0, 3, 0)
+
+
+#: -det / (SIGNATURE_TOL max|lambda|^2) within this of 1 is where the closed
+#: form and the eigensolver may decide a 2x2 block differently: each errs by a
+#: few eps max|lambda| (the rounding of g_ab^2 - g_aa g_bb, eigvalsh's backward
+#: error), a few 1e-4 of the threshold SIGNATURE_TOL max|lambda| = 1e-12 max|lambda|
+_CLOSED_FORM_BAND = 1e-3
+
+
+def test_closed_form_2x2_rule_agrees_with_the_eigenvalue_rule(rng):
+    """_lorentzian_2x2 decides as _sign_counts(eigvalsh(block)) == (1, 0, 1)
+    on rotated blocks of sizes 1e-12 to 1e12, except where -det lies within
+    _CLOSED_FORM_BAND of the threshold, measured exactly from the entries;
+    blocks just inside and just outside the band are both drawn, and
+    definite, singular and zero-eigenvalue blocks besides."""
+    tol = geometry.SIGNATURE_TOL
+    outside, near = [], [0, 0]
+    for _ in range(20000):
+        scale = 10.0 ** rng.uniform(-12.0, 12.0)
+        big = scale * rng.choice([-1.0, 1.0])
+        kind = rng.integers(4)
+        if kind == 0:  # opposite sign, at 1 -+ 1e-8 to 1 -+ 0.3 of the threshold
+            small = -big * tol * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.0, -0.5))
+        elif kind == 1:  # either sign, 1e-3 to 1e3 of the threshold
+            small = rng.choice([-1.0, 1.0]) * tol * scale * 10.0 ** rng.uniform(-3.0, 3.0)
+        elif kind == 2:
+            small = rng.uniform(-1.0, 1.0) * scale
+        else:
+            small = rng.choice([0.0, -0.0, tol * scale, -tol * scale])
+        angle = rng.uniform(0.0, np.pi) if rng.random() < 0.8 else 0.0
+        cos, sin = np.cos(angle), np.sin(angle)
+        a = cos * cos * big + sin * sin * small
+        b = cos * sin * (big - small)
+        c = sin * sin * big + cos * cos * small
+        closed = geometry._lorentzian_2x2(a, b, c) is not None
+        negative, zero, _ = geometry._sign_counts(np.linalg.eigvalsh([[a, b], [b, c]]))
+        largest = abs((a + c) / 2) + np.hypot((a - c) / 2, b)
+        minus_det = Fraction(b) ** 2 - Fraction(a) * Fraction(c)
+        ratio = float(minus_det / (Fraction(tol) * Fraction(largest) ** 2))
+        if abs(ratio - 1.0) < _CLOSED_FORM_BAND:
+            continue
+        if abs(ratio - 1.0) < 1e-1:
+            near[ratio > 1.0] += 1
+        if closed != ((negative, zero) == (1, 0)):
+            outside.append((a, b, c, ratio))
+    assert outside == []
+    assert min(near) > 100
 
 
 def test_metric_compatibility(rng):
@@ -471,10 +519,44 @@ def test_unchecked_metric_at_defers_the_singular_solve():
 
 
 def test_connection_built_once_and_shared():
-    m = eval_metric(SCHW, Point((0.0, 3.7, 0.9, 2.0)))
+    # a fresh evaluator: a shared one may keep a result whose connection is built
+    m = geometry.MetricEvaluator(SCHW).metric_at(Point((0.0, 3.7, 0.9, 2.0)))
     assert m._connection is None
     gamma = m.christoffels
     assert m.g_inverse is m._connection[0] and m.christoffels is gamma
+    stacked = geometry.evaluator_for(SCHW).metric_at(np.array([[0.0, 3.7, 0.9, 2.0]]))
+    for result in (m, stacked):
+        for array in (result.g, result.first_derivatives, result.g_inverse,
+                      result.christoffels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1.0
+
+
+#: g_tx = x, so the sign of a zero x reaches g
+_SIGNED_ZERO = SpacetimeModel.from_components(
+    "signed-zero", ("t", "x"), {(0, 0): "-1", (0, 1): "x", (1, 1): "1"})
+
+
+def test_a_kept_metric_is_shared_only_at_the_same_bits():
+    """metric_at returns its last single-point result again only at the same
+    coordinate bits: 0.0 and -0.0 each get their own g, a NaN coordinate
+    never matches, and an unchecked result is not handed to a checked call."""
+    evaluator = geometry.MetricEvaluator(_SIGNED_ZERO)
+    plus, minus = Point((0.0, 0.0)), Point((0.0, -0.0))
+    first = evaluator.metric_at(plus)
+    assert evaluator.metric_at(Point((0.0, 0.0))) is first
+    assert evaluator.metric_at(plus, checks=False) is first
+    signed = evaluator.metric_at(minus)
+    assert signed is not first
+    assert _bits(first.g) == _bits(np.array([[-1.0, 0.0], [0.0, 1.0]]))
+    assert _bits(signed.g) == _bits(np.array([[-1.0, -0.0], [-0.0, 1.0]]))
+    assert evaluator.metric_at(plus) is not first
+    nan = Point((float("nan"), 0.5))
+    assert evaluator.metric_at(nan) is not evaluator.metric_at(nan)
+    unchecked = evaluator.metric_at(Point((0.0, 0.25)), checks=False)
+    checked = evaluator.metric_at(Point((0.0, 0.25)))
+    assert checked is not unchecked and _bits(checked.g) == _bits(unchecked.g)
+    assert evaluator.metric_at(Point((0.0, 0.25)), checks=False) is checked
 
 
 _ORIGIN = Point((0.0, 0.0, 0.0, 0.0))
@@ -567,6 +649,9 @@ def test_unchecked_stacks_equal_unchecked_single_points_to_the_bit(model, box):
     if model is _WRONG_SIGNATURE:
         with pytest.raises(WrongSignature):
             evaluator.metric_at(points)
+        # the last row's unchecked result is kept, and a checked call there still checks
+        with pytest.raises(WrongSignature):
+            evaluator.metric_at(Point(points[-1]))
 
 
 @pytest.mark.parametrize("text", ["(1e300*1e300 - 1e300*1e300)^0 + x^2",
