@@ -436,7 +436,11 @@ def cmd_foliate(cfg: Config, report: Report) -> int:
         raise ConfigError(f"'{coord}' is not a coordinate of the model")
     k = model.coordinate_names.index(coord)
     values = cfg.value("foliate", "values").numbers()
-    base = cfg.value("foliate", "point").numbers()
+    point = cfg.value("foliate", "point")
+    base = point.numbers()
+    if len(base) != model.dimension:
+        raise ConfigError(f"'point' expects {model.dimension} values, one per coordinate, "
+                          f"got {len(base)}", point.line)
     report.raw(f"{coord},TrK")
     for value in values:
         coords = list(base)

@@ -264,14 +264,14 @@ def _grid_chunks(query: ConvexityQuery):
         yield np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
 
 
-def _raise_at_first_failing_point(evaluator, model, f, coords):
+def _raise_at_first_failing_point(model, f, coords):
     """Evaluate H at the rows of coords one point at a time, in row order, so
     that an error is the first failing point's own, named with its grid
     point."""
     for row in coords:
         point = Point(row)
         try:
-            covariant_hessian(f, model, point, metric_at=evaluator.metric_at(point))
+            covariant_hessian(f, model, point)
         except ToolkitError as exc:
             exc.args = (f"{exc} [at grid point {point.coordinates}]",)  # attributes kept
             raise
@@ -312,7 +312,7 @@ def certify_region(model: SpacetimeModel, f: ScalarField,
         except ToolkitError:
             # each stacked layer re-runs a failing row alone, which raises its
             # own error, so this raises; if it does not, the stacked error stands
-            _raise_at_first_failing_point(evaluator, model, f, coords)
+            _raise_at_first_failing_point(model, f, coords)
             raise
         negative, zero, positive = hessian_signature(hs, query.psd_tolerance)
         lo, hi = admissible_c_interval(hs, gs, query.psd_tolerance, query.c_search_ceiling)

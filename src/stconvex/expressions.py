@@ -68,10 +68,10 @@ FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt", 
 
 class _Node:
     """Base of the frozen AST nodes, which compare by value. A node keeps its
-    hash and its symbol set, computed on first use, in two slots that pickles
-    leave out, since str hashes differ between processes."""
+    hash, computed on first use, in a slot that pickles leave out, since str
+    hashes differ between processes."""
 
-    __slots__ = ("_hash", "_symbols")
+    __slots__ = ("_hash",)
 
     def __hash__(self):
         cached = getattr(self, "_hash", None)
@@ -126,20 +126,15 @@ Expr = Num | Sym | Neg | BinOp | Call
 
 
 def symbols_in(ast) -> frozenset[str]:
-    """Names of all symbols referenced by the expression, computed once for
-    each node it is called on (the subtrees it walks keep none)."""
-    cached = getattr(ast, "_symbols", None)
-    if cached is None:
-        names, stack = set(), [ast]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Sym):
-                names.add(node.name)
-            elif isinstance(node, _Node):
-                stack.extend(getattr(node, name) for name in node.__match_args__)
-        cached = frozenset(names)
-        object.__setattr__(ast, "_symbols", cached)
-    return cached
+    """Names of all symbols referenced by the expression."""
+    names, stack = set(), [ast]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sym):
+            names.add(node.name)
+        elif isinstance(node, _Node):
+            stack.extend(getattr(node, name) for name in node.__match_args__)
+    return frozenset(names)
 
 
 # --------------------------------------------------------------------------
@@ -891,6 +886,6 @@ def eval_jet2(ast, coordinate_names, coordinate_values, parameters=None) -> Jet2
 
 
 def eval_jet1(ast, coordinate_names, coordinate_values, parameters=None):
-    """(value, gradient tuple) of an expression at a point, the compiled
-    order-1 code's own pair; used where second derivatives are not needed."""
+    """(value, gradient tuple) at a point, or a fused set's flat tuple, from
+    the compiled order-1 code; used where second derivatives are not needed."""
     return _run(1, ast, coordinate_names, coordinate_values, parameters)

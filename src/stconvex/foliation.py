@@ -26,10 +26,9 @@ import numpy as np
 from . import expressions as ex
 from .errors import (NonSpacelikeSlice, NotBlockForm, NullGradient, OutOfDomain,
                      WrongSignature)
-from .geometry import (SIGNATURE_TOL, MetricAt, Point, SpacetimeModel,
-                       TangentVector, _inverse_and_christoffels, _is_null, _lorentzian_2x2,
-                       covariant_hessian, covariant_hessian_from, eval_metric,
-                       evaluator_for, field_jet)
+from .geometry import (SIGNATURE_TOL, Point, SpacetimeModel, TangentVector,
+                       _inverse_and_christoffels, _is_null, _lorentzian_2x2, covariant_hessian,
+                       covariant_hessian_from, eval_metric, evaluator_for, field_jet)
 
 #: tangent seeds whose |g-rejection norm| is below this times max |g_mu nu| are unusable
 BASIS_TOL = 1e-12
@@ -49,11 +48,10 @@ class LevelSetFrame:
     tangent_basis: tuple[TangentVector, ...]
 
 
-def _gradient_data(f, model, p, metric_at=None):
+def _gradient_data(f, model, p):
     """(jet, metric_at, eps, norm, unit normal n = -eps g^-1 df / norm) shared
     by level-set code."""
-    if metric_at is None:
-        metric_at = eval_metric(model, p)
+    metric_at = eval_metric(model, p)
     jet = field_jet(f, model, p)
     grad_up = metric_at.g_inverse @ jet.gradient
     q = float(jet.gradient @ grad_up)
@@ -67,9 +65,8 @@ def _gradient_data(f, model, p, metric_at=None):
     return jet, metric_at, eps, norm, -eps * grad_up / norm
 
 
-def level_set_frame(f: ex.ScalarField, model: SpacetimeModel, p: Point,
-                    metric_at: MetricAt | None = None) -> LevelSetFrame:
-    jet, metric_at, eps, norm, n = _gradient_data(f, model, p, metric_at)
+def level_set_frame(f: ex.ScalarField, model: SpacetimeModel, p: Point) -> LevelSetFrame:
+    jet, metric_at, eps, norm, n = _gradient_data(f, model, p)
     basis = _tangent_basis(metric_at.g, n)
     return LevelSetFrame(
         point=p, epsilon=eps, norm=norm,
@@ -116,9 +113,8 @@ def _tangent_basis(g, n):
 
 def second_fundamental_form(f: ex.ScalarField, model: SpacetimeModel, p: Point) -> np.ndarray:
     """K on the tangent basis of level_set_frame at p, per the module sign convention."""
-    metric_at = eval_metric(model, p)
-    frame = level_set_frame(f, model, p, metric_at)
-    h = covariant_hessian(f, model, p, metric_at=metric_at)
+    frame = level_set_frame(f, model, p)
+    h = covariant_hessian(f, model, p)
     basis = np.array([b.components for b in frame.tangent_basis])
     return -(basis @ h @ basis.T) / frame.norm
 
@@ -183,30 +179,24 @@ def null_expansions(model: SpacetimeModel, base_point) -> tuple[float, float]:
     (gamma t)_a) / sqrt(-det gamma), the null pair l = t +- s has gamma(l, t) =
     -1, and theta = (2/R) l^a d_a R = (2/R)(t.dR +- |s.dR|). So theta_plus >=
     theta_minus, and theta_plus is the direction of increasing area radius
-    when one exists."""
+    when one exists. theta is homogeneous of degree -1/2 in the block, so the
+    block is scaled by 4^-k (k from the binary exponent of its largest entry)
+    and theta by 2^-k back: exact in the normal range, and free of over- and
+    underflow beyond it. The declaration was checked when the model was built."""
     bf = model.block_form
     if bf is None:
         raise NotBlockForm(f"model '{model.name}' declares no warped-product split")
-    ia, ib = bf.base_indices
-    base_names = (model.coordinate_names[ia], model.coordinate_names[ib])
-    fiber = set(model.coordinate_names) - set(base_names)
-    block = (model.components[ia][ia], model.components[ia][ib], model.components[ib][ib])
-    for node in block + (bf.area_radius,):
-        bad = ex.symbols_in(node) & fiber
-        if bad:
-            raise NotBlockForm(f"base block depends on fiber coordinate '{sorted(bad)[0]}'")
-    fiber_indices = [i for i in range(model.dimension) if i not in (ia, ib)]
-    for i in (ia, ib):
-        for j in fiber_indices:
-            node = model.components[i][j]
-            if not (isinstance(node, ex.Num) and node.value == 0.0):
-                raise NotBlockForm("metric mixes base and fiber coordinates; "
-                                   "no warped-product split at this chart")
     values = tuple(float(v) for v in base_point)
     if len(values) != 2:
         raise ValueError("base_point must supply exactly the two base coordinates")
-    params = model.parameters
-    g_aa, g_ab, g_bb = ex.compile_value(block, base_names, params)(*values)
+    ia, ib = bf.base_indices
+    block = (model.components[ia][ia], model.components[ia][ib], model.components[ib][ib])
+    jets = ex.eval_jet1(block + (bf.area_radius,),
+                        (model.coordinate_names[ia], model.coordinate_names[ib]),
+                        values, model.parameters)
+    k = math.frexp(max(map(abs, jets[0:9:3])))[1] // 2
+    g_aa, g_ab, g_bb = (math.ldexp(entry, -2 * k) for entry in jets[0:9:3])
+    radius, dr_a, dr_b = jets[9:]
     minus_det = _lorentzian_2x2(g_aa, g_ab, g_bb)
     if minus_det is None:
         raise WrongSignature(f"base block is not Lorentzian at {values}")
@@ -215,13 +205,13 @@ def null_expansions(model: SpacetimeModel, base_point) -> tuple[float, float]:
     future_norm2 = f_a * low_a + f_b * low_b
     if future_norm2 >= 0.0:
         raise NotBlockForm("declared future direction is not timelike at this point")
-    radius, (dr_a, dr_b) = ex.eval_jet1(bf.area_radius, base_names, values, params)
     if radius <= 0.0:
         raise OutOfDomain(f"area radius {radius!r} must be positive")
     inv_norm = 1.0 / math.sqrt(-future_norm2)
     along_t = (f_a * dr_a + f_b * dr_b) * inv_norm
     across = abs(low_a * dr_b - low_b * dr_a) * inv_norm / math.sqrt(minus_det)
-    return 2.0 / radius * (along_t + across), 2.0 / radius * (along_t - across)
+    return (math.ldexp(2.0 / radius * (along_t + across), -k),
+            math.ldexp(2.0 / radius * (along_t - across), -k))
 
 
 @dataclass(frozen=True)

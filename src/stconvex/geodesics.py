@@ -120,7 +120,7 @@ def integrate_geodesic(model: SpacetimeModel, s0: GeodesicState,
                               "gives a step count that is not finite")
     n_full = int(np.floor(count))
     remainder = (lam1 - lam0) - n_full * step
-    steps = [step] * n_full + ([remainder] if remainder > 1e-12 else [])
+    n_steps = n_full + (remainder > 1e-12)  # a range holds any count; a list would not
 
     samples = []
     norms = []
@@ -131,12 +131,13 @@ def integrate_geodesic(model: SpacetimeModel, s0: GeodesicState,
     stop_lambda = None
     stop_locus = ""
     loci_here, g_here, a_here = judge(x, v, (), lam, checks=True)  # no signs to keep yet
-    for h in steps + [None]:
+    for i in range(n_steps + 1):
         samples.append((lam, GeodesicState.of(x, v)))
         norms.append(float(v @ g_here @ v))
         accels.append(a_here)
-        if h is None:
+        if i == n_steps:
             break
+        h = step if i < n_full else remainder
         try:
             k2x = v + 0.5 * h * a_here
             k2v = judge(x + 0.5 * h * v, k2x, loci_here, lam)[2]

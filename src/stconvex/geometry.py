@@ -13,13 +13,13 @@ the bit. A single Point runs the scalar code and never a one-row stack.
 
 Every operation here is a function of its inputs alone and safe to evaluate
 concurrently over disjoint points. Besides the prepared evaluators, the one
-thing kept between calls is each evaluator's last single-point `metric_at`
-result, which a later call at the same coordinates, bit for bit, gets back
-as the same object (the level-set probes ask for the metric three times at
-each point). Sharing it is safe: a `MetricAt`'s arrays are read-only, its
-lazily built g^-1 and Gamma have the same bits whoever builds them first,
-and the kept entry is replaced in one assignment, so a thread sees the old
-entry or the new one, never half of each.
+thing kept between calls is each evaluator's last checked single-point
+`metric_at` result, which any later call at the same coordinates, bit for
+bit, gets back (the level-set probes ask four times per point). Sharing it
+is safe: a `MetricAt`'s arrays are read-only, its lazily built g^-1 and
+Gamma have the same bits whoever builds them first, and the kept entry is
+replaced in one assignment, so a thread sees the old entry or the new one,
+never half of each.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import expressions as ex
-from .errors import DomainError, SingularMetric, UnknownSymbol, WrongSignature
+from .errors import DomainError, NotBlockForm, SingularMetric, UnknownSymbol, WrongSignature
 
 #: reject metrics whose condition estimate (infinite when singular) reaches this
 CONDITION_CAP = 1e12
@@ -100,8 +100,8 @@ class SpacetimeModel:
 
     `components` is a symmetric matrix of expression ASTs; symmetric entries
     share the same AST object so evaluated matrices are symmetric to the bit.
-    `singular_loci` are expressions whose zero sets the chart must avoid
-    (enforced with a guard of LOCUS_GUARD on the expression value).
+    `singular_loci` are expressions whose zero sets the chart must avoid (a
+    LOCUS_GUARD guard); a `block_form` is checked whenever a model is built.
     """
 
     name: str
@@ -111,6 +111,28 @@ class SpacetimeModel:
     singular_loci: tuple[ex.Expr, ...] = ()
     sample_box: tuple[tuple[float, float], ...] | None = None
     block_form: BlockForm | None = None
+
+    def __post_init__(self):
+        if (bf := self.block_form) is None:
+            return
+        d = self.dimension
+        base = bf.base_indices
+        if len(base) != 2 or base[0] == base[1] or \
+                not all(isinstance(i, int) and 0 <= i < d for i in base):
+            raise NotBlockForm(f"block-form base indices {base} are not two distinct "
+                               f"indices of the {d}-coordinate chart")
+        if len(bf.future) != 2 or not all(map(math.isfinite, bf.future)):
+            raise NotBlockForm(f"block-form future vector {bf.future} is not two finite numbers")
+        ia, ib = base
+        fiber = {name for k, name in enumerate(self.coordinate_names) if k not in base}
+        block = (self.components[ia][ia], self.components[ia][ib], self.components[ib][ib])
+        bad = sorted(set().union(*map(ex.symbols_in, block + (bf.area_radius,))) & fiber)
+        if bad:
+            raise NotBlockForm(f"base block depends on fiber coordinate '{bad[0]}'")
+        crossed = [self.components[i][j] for i in base for j in range(d) if j not in base]
+        if not all(isinstance(node, ex.Num) and node.value == 0.0 for node in crossed):
+            raise NotBlockForm("metric mixes base and fiber coordinates; "
+                               "no warped-product split at this chart")
 
     @classmethod
     def from_components(cls, name, coordinate_names, components, parameters=None,
@@ -242,8 +264,8 @@ class MetricEvaluator:
     scatter into g and dg, and the singular loci, kept apart so that the
     guard fires before a component undefined at a locus can raise. Their
     stacked variants are compiled on the first stacked metric_at call.
-    The last single-point metric_at result is kept as (coordinates,
-    checked, MetricAt).
+    The last checked single-point metric_at result is kept as
+    (coordinates, MetricAt).
     """
 
     def __init__(self, model: SpacetimeModel):
@@ -270,7 +292,7 @@ class MetricEvaluator:
         self._dg_index = self._g_index[None, :, :] + 1 + np.arange(d)[:, None, None]
         self._loci = tuple(model.singular_loci)
         self._locus_values = ex.compile_value(self._loci, self.names, self.params)
-        self._kept = ((), True, None)  # no point has zero coordinates
+        self._kept = ((), None)  # no point has zero coordinates
 
     def guard(self, coords):
         """The signed locus-expression values at coords, whose sign change
@@ -298,10 +320,10 @@ class MetricEvaluator:
 
     def metric_at(self, point: Point | np.ndarray, checks=True) -> MetricAt:
         """Metric data at a point: the locus guard, the components, then with
-        checks the condition cap and the signature. A Point whose coordinates
-        equal the last Point's bit for bit (`_same_floats`) gets the same
-        MetricAt back, unless that one was unchecked and this call checks:
-        its arrays are read-only, so sharing it changes no caller's result.
+        checks the condition cap and the signature. Only a checked result is
+        kept, and a Point whose coordinates equal its point's bit for bit
+        (`_same_floats`), checked or not, gets that MetricAt back: its arrays
+        are read-only, so sharing it changes no caller's result.
         An (N, d) coordinate array gives the stacked MetricAt of its rows
         (`_metric_stack`), never kept; an array of any other shape is refused."""
         if isinstance(point, np.ndarray):
@@ -311,28 +333,28 @@ class MetricEvaluator:
         coords = point.coordinates
         if len(coords) != self.dim:
             raise ValueError(f"point has {len(coords)} coordinates, chart has {self.dim}")
-        kept_coords, kept_checked, kept = self._kept
-        if kept_coords == coords and (kept_checked or not checks) and \
-                _same_floats(kept_coords, coords):
+        kept_coords, kept = self._kept
+        if kept_coords == coords and _same_floats(kept_coords, coords):
             return kept
         self.guard(coords)
         g, dg = self.components(coords)
-        if checks:
-            # one eigendecomposition gives both checks; the condition cap is the zero
-            # rule of _sign_counts at SIGNATURE_TOL, so past it no eigenvalue is zero
-            eigenvalues = np.linalg.eigvalsh(g).tolist()
-            smallest, largest = min(map(abs, eigenvalues)), max(map(abs, eigenvalues))
-            if smallest <= SIGNATURE_TOL * largest:
-                cond = largest / smallest if smallest else math.inf
-                raise SingularMetric(f"metric condition estimate {cond:.3e} exceeds "
-                                     f"{CONDITION_CAP:.0e} at {coords}")
-            negative = sum(e < 0.0 for e in eigenvalues)
-            if negative != 1:
-                raise WrongSignature(
-                    f"metric signature ({negative} negative, 0 zero, {self.dim - negative} "
-                    f"positive) is not Lorentzian at {coords}")
+        if not checks:
+            return MetricAt(point, g, dg)
+        # one eigendecomposition gives both checks; the condition cap is the zero
+        # rule of _sign_counts at SIGNATURE_TOL, so past it no eigenvalue is zero
+        eigenvalues = np.linalg.eigvalsh(g).tolist()
+        smallest, largest = min(map(abs, eigenvalues)), max(map(abs, eigenvalues))
+        if smallest <= SIGNATURE_TOL * largest:
+            cond = largest / smallest if smallest else math.inf
+            raise SingularMetric(f"metric condition estimate {cond:.3e} exceeds "
+                                 f"{CONDITION_CAP:.0e} at {coords}")
+        negative = sum(e < 0.0 for e in eigenvalues)
+        if negative != 1:
+            raise WrongSignature(
+                f"metric signature ({negative} negative, 0 zero, {self.dim - negative} "
+                f"positive) is not Lorentzian at {coords}")
         result = MetricAt(point, g, dg)
-        self._kept = (coords, bool(checks), result)
+        self._kept = (coords, result)
         return result
 
     def _metric_stack(self, points, checks):
@@ -435,7 +457,9 @@ def field_jet(f: ex.ScalarField, model: SpacetimeModel, p: Point | np.ndarray) -
 def covariant_hessian(f: ex.ScalarField, model: SpacetimeModel, p: Point | np.ndarray,
                       metric_at: MetricAt | None = None) -> np.ndarray:
     """nabla_mu nabla_nu f = d_mu d_nu f - Gamma^lam_{mu nu} d_lam f; at an
-    (N, d) array of points, the (N, d, d) stack, with a stacked metric_at."""
+    (N, d) array of points, the (N, d, d) stack. A single point's metric
+    comes from its evaluator, which keeps it; metric_at= passes a stacked
+    MetricAt, which is never kept, so a caller evaluates a stack once."""
     if metric_at is None:
         metric_at = eval_metric(model, p)
     jet = field_jet(f, model, p)

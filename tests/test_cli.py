@@ -574,6 +574,9 @@ _INLINE_TX = '[model]\ncoordinates = t, x\ng[t,t] = "-1"\ng[x,x] = "1"\n'
      .replace("span = 0, 1", "span = 1"), "span expects 'start, end'"),
     ("foliate", "[model]\nbuiltin = milne\n" + _FIELD + "[foliate]\ncoordinate = t\n",
      "'t' is not a coordinate of the model"),
+    ("foliate", "[model]\nbuiltin = milne\n" + _FIELD
+     + "[foliate]\ncoordinate = phi\nvalues = 0.1\npoint = 1, 0.8\n",
+     "line 9: 'point' expects 4 values, one per coordinate, got 2"),
     ("slice-probe", "[model]\nbuiltin = minkowski-cartesian\n" + _FIELD
      + "[slice-probe]\ncoordinate = t\nvalue = 0\n",
      "slice-probe needs at least one point[...] entry"),
@@ -588,8 +591,8 @@ _INLINE_TX = '[model]\ncoordinates = t, x\ng[t,t] = "-1"\ng[x,x] = "1"\n'
         "key-outside-section", "empty-key", "duplicate-key", "missing-key", "bad-flag",
         "no-model", "bad-component-key", "no-field", "field-without-source",
         "box-missing-coordinate", "box-one-value", "no-box", "loop-missing-coordinate",
-        "span-one-value", "foliate-unknown-coordinate", "slice-without-points",
-        "inline-singular-locus", "span-uncountable-steps"])
+        "span-one-value", "foliate-unknown-coordinate", "foliate-short-point",
+        "slice-without-points", "inline-singular-locus", "span-uncountable-steps"])
 def test_config_errors_exit_1_with_their_message(tmp_path, capsys, command, text, message):
     cfg = write(tmp_path, "bad.cfg", text)
     code, out, err = run(capsys, command, "--config", cfg, "--no-timestamp")

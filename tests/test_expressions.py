@@ -633,7 +633,6 @@ def test_reparsed_nodes_hash_equal_and_share_code():
     assert (info.misses, info.hits) == (1, 1)
     assert Num(1.0) != Num(2.0)
     assert symbols_in(first) == {"r", "theta", "M"}
-    assert symbols_in(first) is symbols_in(first)
 
 
 def test_nodes_stay_frozen():

@@ -1,8 +1,10 @@
 """Level-set extrinsic curvature, barrier scan, null expansions, slices."""
 
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from stconvex import (NonSpacelikeSlice, NotBlockForm, NullGradient,
 
 from stconvex.foliation import BASIS_TOL, _tangent_basis
 
-from conftest import null_expansions_by_eigenvectors, random_lorentzian, random_point_in
+from conftest import (bits_digest, null_expansions_by_eigenvectors, random_lorentzian,
+                      random_point_in)
 
 CAT = builtin_models()
 MINK = CAT.model("minkowski-cartesian")
@@ -405,16 +408,14 @@ def _spherical_block(g_tt, future=(1.0, 0.0)):
 
 
 @pytest.mark.parametrize("model, base_point, error, message", [
-    (_spherical_block("-(2 + sin(theta))"), (0.0, 1.0), NotBlockForm,
-     "base block depends on fiber coordinate 'theta'"),
     (_spherical_block("-1", future=(0.0, 1.0)), (0.0, 1.0), NotBlockForm,
      "declared future direction is not timelike"),
     (_spherical_block("1"), (0.0, 1.0), WrongSignature, "base block is not Lorentzian"),
     (_spherical_block("-1"), (0.0, -1.0), OutOfDomain, "area radius -1.0 must be positive"),
     (_spherical_block("-1"), (0.0, 0.0), OutOfDomain, "area radius 0.0 must be positive"),
     (_spherical_block("-1"), (0.0, 1.0, 0.5), ValueError, "exactly the two base coordinates"),
-], ids=["fiber-dependent-block", "spacelike-future", "riemannian-block", "negative-radius",
-        "zero-radius", "three-values"])
+], ids=["spacelike-future", "riemannian-block", "negative-radius", "zero-radius",
+        "three-values"])
 def test_null_expansions_rejects_what_has_no_expansions(model, base_point, error, message):
     with pytest.raises(error, match=message):
         null_expansions(model, base_point)
@@ -433,15 +434,54 @@ def test_null_expansions_refuses_a_block_the_metric_check_refuses():
         null_expansions(model, (0.0, 1.0))
 
 
-def test_null_expansions_rejects_cross_terms():
-    crossed = SpacetimeModel.from_components(
-        name="crossed", coordinate_names=("t", "x", "theta", "phi"),
-        components={(0, 0): "-1", (1, 1): "1", (0, 2): "1", (2, 2): "4",
-                    (3, 3): "4*sin(theta)^2"},
-        singular_loci=("sin(theta)",),
-        block_form=((0, 1), "2", (1.0, 0.0)))
-    with pytest.raises(NotBlockForm):
-        null_expansions(crossed, (0.0, 0.0))
+_SPHERICAL = {(0, 0): "-1", (1, 1): "1", (2, 2): "r^2", (3, 3): "r^2*sin(theta)^2"}
+
+
+@pytest.mark.parametrize("components, block_form, message", [
+    ({(0, 0): "-(2 + sin(theta))"}, ((0, 1), "r", (1.0, 0.0)),
+     "base block depends on fiber coordinate 'theta'"),
+    ({}, ((0, 1), "r*(2 + cos(phi))", (1.0, 0.0)), "base block depends on fiber coordinate 'phi'"),
+    ({(0, 2): "1"}, ((0, 1), "r", (1.0, 0.0)),
+     "metric mixes base and fiber coordinates; no warped-product split at this chart"),
+    ({}, ((0, 7), "r", (1.0, 0.0)),
+     "block-form base indices (0, 7) are not two distinct indices of the 4-coordinate chart"),
+    ({}, ((1, 1), "r", (1.0, 0.0)),
+     "block-form base indices (1, 1) are not two distinct indices of the 4-coordinate chart"),
+    ({}, ((0, 1), "r", (1.0,)), "block-form future vector (1.0,) is not two finite numbers"),
+    ({}, ((0, 1), "r", (1.0, 0.0, 0.0)),
+     "block-form future vector (1.0, 0.0, 0.0) is not two finite numbers"),
+    ({}, ((0, 1), "r", (math.nan, 0.0)), "block-form future vector (nan, 0.0) is not two finite"),
+    ({}, ((0, 1), "r", (1.0, -math.inf)), "block-form future vector (1.0, -inf) is not two finite"),
+], ids=["fiber-dependent-block", "fiber-dependent-radius", "cross-term", "index-outside-chart",
+        "repeated-index", "future-of-one", "future-of-three", "nan-future", "infinite-future"])
+def test_a_malformed_block_form_is_refused_when_the_model_is_built(components, block_form,
+                                                                    message):
+    """The model checks its declared split once, when it is built; the models
+    are built here, not at collection, since building them raises."""
+    with pytest.raises(NotBlockForm, match=re.escape(message)):
+        SpacetimeModel.from_components(
+            "block", ("t", "r", "theta", "phi"), {**_SPHERICAL, **components},
+            singular_loci=("sin(theta)",), block_form=block_form)
+
+
+def test_replace_checks_the_block_form_again():
+    """dataclasses.replace (and so with_parameters) builds the model anew."""
+    with pytest.raises(NotBlockForm, match="fiber coordinate 'chi'"):
+        replace(MILNE, block_form=replace(MILNE.block_form, base_indices=(0, 2)))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+def test_null_expansions_of_a_block_far_from_unit_scale(scale):
+    """diag(-s, s) with R = r at r = 1 has theta = +-2/sqrt(s): the block
+    products g_ab^2 - g_aa g_bb would overflow at 1e160 (giving 0) and turn
+    subnormal at 1e-160 (losing digits) without the block's scaling."""
+    model = SpacetimeModel.from_components(
+        "scaled", ("t", "r", "theta", "phi"),
+        {**_SPHERICAL, (0, 0): f"-{scale!r}", (1, 1): repr(scale)},
+        singular_loci=("sin(theta)",), block_form=((0, 1), "r", (1.0, 0.0)))
+    expected = 2.0 / math.sqrt(scale)
+    assert null_expansions(model, (0.0, 1.0)) == pytest.approx((expected, -expected),
+                                                               rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("name", ["minkowski-spherical", "schwarzschild-exterior",
@@ -574,9 +614,45 @@ def test_curved_slice_connection_used():
     assert np.abs(ddf - math.cosh(0.8) * h).max() < 1e-10
 
 
+_LEVEL_SET_FIELD = "exp(0.3*{0}) + {1}^2 + 0.1*cos({2})*sin({3})"
+
+
+def _level_set_digests(name):
+    """Digest of Tr K, K, the null expansions and the slice Laplacian (on
+    x^0, or r inside the horizon) at eight seeded points of the chart's box."""
+    model = CAT.model(name)
+    f = model.field(_LEVEL_SET_FIELD.format(*model.coordinate_names))
+    ia, ib = model.block_form.base_indices
+    k = 1 if name == "schwarzschild-interior" else 0
+    lo, hi = np.array(model.sample_box).T
+    out = []
+    for coords in (lo + (hi - lo) * np.random.default_rng(2501).random((8, 4))).tolist():
+        p = Point(coords)
+        spec = SliceSpec(model.coordinate_names[k], coords[k])
+        out.append((mean_curvature(f, model, p), second_fundamental_form(f, model, p),
+                    null_expansions(model, (coords[ia], coords[ib])),
+                    slice_laplacian(f, model, spec, p)))
+    return bits_digest(out)
+
+
+#: _level_set_digests as computed when null_expansions evaluated the block and
+#: R apart, and level_set_frame took a metric_at argument (x86-64 Linux)
+_LEVEL_SET_BITS = {
+    "minkowski-spherical": "845f498fcbfc469b",
+    "schwarzschild-exterior": "9a3d4d7f4067e265",
+    "schwarzschild-interior": "6b00f89682f51607",
+    "milne": "3b42c884f3b452f8",
+}
+
+
+@pytest.mark.parametrize("name", _LEVEL_SET_BITS)
+def test_level_set_probes_keep_their_bits(name):
+    assert _level_set_digests(name) == _LEVEL_SET_BITS[name]
+
+
 def _probe_bits(points):
     """Tr K, K and the slice Laplacian at each (model, coordinates), as the
-    level-set probes ask for them: three metric_at calls at each point."""
+    level-set probes ask for them: four metric_at calls at each point."""
     out = []
     for model, coords, slice_index, f, g in points:
         p = Point(coords)

@@ -75,6 +75,16 @@ def test_span_and_step_must_be_finite(span, step):
         integrate_geodesic(MINK, state, span, step=step)
 
 
+@pytest.mark.parametrize("span, step", [((0.0, 1e15), 0.01), ((0.0, 1e300), 1.0)])
+def test_a_huge_finite_span_truncates_as_a_short_one(span, step):
+    """Steps are counted, not listed: 1e17 steps would not fit in memory, and
+    1e300 not in an index-sized int, yet a pole crossing stops within steps."""
+    state = GeodesicState.of((0.0, 1.0, 0.05, 0.3), (1.0, 0.0, -1.0, 0.0))
+    trajectory = integrate_geodesic(CAT.model("minkowski-spherical"), state, span, step=step)
+    assert trajectory.truncated and trajectory.truncation_locus == "sin(theta)"
+    assert len(trajectory.samples) <= 6
+
+
 def test_lambda_samples_strictly_increasing():
     state = GeodesicState.of((0.0, 0.0, 0.0, 0.0), (1.0, 0.5, 0.0, 0.0))
     trajectory = integrate_geodesic(MINK, state, (0.0, 0.35), step=0.1)
